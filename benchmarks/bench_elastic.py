@@ -1,7 +1,7 @@
-"""Elastic-membership benchmark: churn bit-identity, recovery overhead,
-time-to-steady-state, and autoscaler vs fixed capacity.
+"""Elastic-membership benchmark: churn bit-identity, recovery overhead and
+time-to-steady-state.
 
-Three experiments, consolidated into ``BENCH_PR9.json``:
+Two experiments, consolidated into ``BENCH_PR9.json``:
 
 * **Churn matrix** — WordCount, KMeans and PageRank each run under a
   seeded membership schedule (two joins, one graceful drain, one abrupt
@@ -12,11 +12,6 @@ Three experiments, consolidated into ``BENCH_PR9.json``:
   time back to steady state (recovery latency from the cluster's
   recovery-action log) plus the p50/p95/p99 across events and the makespan
   overhead vs the static run.
-* **Autoscaler** — a pipelined WordCount on 2 workers with the autoscaler
-  allowed to grow to 4 is compared against fixed 2-worker and fixed
-  4-worker runs.  The autoscaled run must return the identical result and
-  never be slower than the fixed run at its *starting* size; the report
-  shows how much of the fixed-at-peak run's advantage it recovers.
 """
 
 from pathlib import Path
@@ -25,7 +20,6 @@ from conftest import run_once
 from harness import record_bench
 from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
-from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.flink.chaos import ChurnSchedule, values_equal
 from repro.workloads import KMeansWorkload, PageRankWorkload, \
     WordCountWorkload
@@ -116,70 +110,3 @@ def test_churn_bit_identity_matrix(benchmark):
         assert c["events_applied"] == 4, c
         # Per-event recovery is reported for every membership event.
         assert len(c["per_event"]) == 4, c
-
-
-def _autoscale_workload():
-    return WordCountWorkload(real_elements=20_000)
-
-
-def _fixed_run(n_workers: int):
-    config = ClusterConfig(n_workers=n_workers, cpu=CPUSpec(cores=2),
-                           gpus_per_worker=("c2050",),
-                           flink=FlinkConfig(executor="pipelined"))
-    return _autoscale_workload().run(
-        GFlinkSession(GFlinkCluster(config)), "gpu")
-
-
-def test_autoscaler_vs_fixed_capacity(benchmark):
-    def measure():
-        small = _fixed_run(2)
-        peak = _fixed_run(4)
-        config = ClusterConfig(n_workers=2, cpu=CPUSpec(cores=2),
-                               gpus_per_worker=("c2050",),
-                               flink=FlinkConfig(executor="pipelined"))
-        cluster = GFlinkCluster(config)
-        scaler = Autoscaler(cluster, AutoscalerPolicy(
-            interval_s=1.0, cooldown_s=2.0, max_workers=4,
-            slot_pressure_high=1.05))
-        scaler.start()
-        auto = _autoscale_workload().run(GFlinkSession(cluster), "gpu")
-        scaler.stop()
-        return small, peak, auto, scaler
-
-    small, peak, auto, scaler = run_once(benchmark, measure)
-    added = [d for d in scaler.decisions if d.action == "add_worker"]
-    final_size = len(scaler.cluster.member_names())
-
-    print("\n== Autoscaler (2 -> up to 4 workers) vs fixed capacity ==")
-    print(f"  fixed 2 workers   {small.total_seconds:9.3f} s")
-    print(f"  fixed 4 workers   {peak.total_seconds:9.3f} s")
-    print(f"  autoscaled        {auto.total_seconds:9.3f} s "
-          f"({len(added)} adds, final size {final_size}, "
-          f"{len(scaler.decisions)} decisions)")
-    for d in scaler.decisions:
-        print(f"    {d.time:7.2f}s {d.signal:<11} -> {d.action} {d.detail}")
-
-    summary = {
-        "fixed_small_s": round(small.total_seconds, 4),
-        "fixed_peak_s": round(peak.total_seconds, 4),
-        "autoscaled_s": round(auto.total_seconds, 4),
-        "identical": values_equal(small.value, auto.value),
-        "workers_added": len(added),
-        "final_size": final_size,
-        "vs_fixed_small": round(
-            auto.total_seconds / small.total_seconds, 4),
-        "vs_fixed_peak": round(
-            auto.total_seconds / peak.total_seconds, 4),
-        "decisions": [
-            {"time": round(d.time, 2), "signal": d.signal,
-             "action": d.action} for d in scaler.decisions],
-    }
-    benchmark.extra_info["table"] = summary
-    record_bench("elastic_autoscaler_vs_fixed", summary, path=RESULTS_PATH)
-    print(f"consolidated results written to {RESULTS_PATH.name}")
-
-    # Elastic capacity changes placement/timing only, never the answer.
-    assert summary["identical"]
-    # The autoscaled run is never slower than the fixed run at its
-    # starting size (adding capacity can only help or break even).
-    assert auto.total_seconds <= small.total_seconds * (1 + 1e-9), summary

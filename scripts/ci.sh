@@ -16,6 +16,9 @@ export PYTHONPATH="${PYTHONPATH:+$PYTHONPATH:}src"
 echo "== tier-1: unit + integration tests =="
 python -m pytest -q
 
+echo "== perfbench smoke tests (outside tier-1's testpaths) =="
+python -m pytest -q perfbench/tests
+
 echo "== lint: cache-region table is private to gmemory.py/repro.obs =="
 if grep -rnE '(^|[^a-zA-Z0-9_])_regions\b' src/repro --include='*.py' \
         | grep -v 'repro/core/gmemory\.py' \

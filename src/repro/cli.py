@@ -135,12 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload")
     _add_run_options(run, single_mode=False)
-    run.add_argument("--autoscale", action="store_true",
-                     help="run the profiler-driven autoscaler: add workers "
-                          "under slot pressure, retune the pipeline online")
-    run.add_argument("--max-workers", type=int, default=None,
-                     help="autoscaler ceiling on cluster size (default: "
-                          "2x the starting worker count)")
 
     trace = sub.add_parser(
         "trace", help="run one workload with tracing, write a Chrome trace")
@@ -259,23 +253,14 @@ def _cmd_run(args, out) -> int:
     gpus = tuple(g for g in args.gpus.split(",") if g)
     modes = ("cpu", "gpu") if args.mode == "both" else (args.mode,)
     results = {}
-    scalers = {}
     for mode in modes:
         config = ClusterConfig(n_workers=args.workers, cpu=CPUSpec(),
                                gpus_per_worker=gpus if mode == "gpu" else
                                gpus,
                                flink=FlinkConfig(executor=args.executor))
         cluster = GFlinkCluster(config)
-        if getattr(args, "autoscale", False):
-            from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
-            policy = AutoscalerPolicy(
-                max_workers=args.max_workers or 2 * args.workers)
-            scalers[mode] = Autoscaler(cluster, policy)
-            scalers[mode].start()
         workload = _make_workload(args.workload, args)
         results[mode] = workload.run(GFlinkSession(cluster), mode)
-        if mode in scalers:
-            scalers[mode].stop()
 
     print(f"workload={args.workload} workers={args.workers} "
           f"gpus/worker={list(gpus)}", file=out)
@@ -283,15 +268,6 @@ def _cmd_run(args, out) -> int:
         iters = "  ".join(f"{t:7.2f}" for t in result.iteration_seconds)
         print(f"  {mode:3s} total {result.total_seconds:9.2f} s | "
               f"per-iteration: {iters}", file=out)
-        scaler = scalers.get(mode)
-        if scaler is not None:
-            added = [d for d in scaler.decisions if d.action == "add_worker"]
-            print(f"      autoscaler: {len(scaler.decisions)} decisions "
-                  f"({len(added)} workers added, final size "
-                  f"{len(scaler.cluster.member_names())})", file=out)
-            for d in scaler.decisions:
-                print(f"        {d.time:7.2f}s {d.signal:<11} -> "
-                      f"{d.action} {d.detail}", file=out)
     if len(results) == 2:
         speedup = (results["cpu"].total_seconds
                    / results["gpu"].total_seconds)

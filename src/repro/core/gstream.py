@@ -260,15 +260,16 @@ class GStream:
                     if host_stream is not None:
                         evt = host_stream.when_fraction(host_cum / host_total)
                         if not evt.triggered:
-                            host_stream.stall_count += 1
+                            # Starvation, not backpressure: the consumer is
+                            # waiting on the producer, so only the
+                            # starved_* stats count it.
                             host_stream.starved_count += 1
                             reg.counter("pipeline.h2d.starved",
                                         device=device.name).inc()
                             stall_start = self.env.now
                             yield evt
-                            starved = self.env.now - stall_start
-                            host_stream.stall_seconds += starved
-                            host_stream.starved_seconds += starved
+                            host_stream.starved_seconds += (
+                                self.env.now - stall_start)
                             # The registry counter above is sampled into
                             # the store; just drive the window clock here.
                             monitor.tick()

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.common.rng import generator
 from repro.common.simclock import Event
 from repro.flink.config import FlinkConfig
@@ -41,8 +43,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.runtime import Cluster
 
 __all__ = ["FaultKind", "ChaosEvent", "ChaosSchedule", "ChurnSchedule",
-           "ChaosEngine", "backoff_delay", "values_equal",
-           "GPU_FAULT_KINDS", "PCIE_FAULT_KINDS", "MEMBERSHIP_KINDS"]
+           "ChaosEngine", "backoff_delay", "poisson_arrivals",
+           "values_equal", "GPU_FAULT_KINDS", "PCIE_FAULT_KINDS",
+           "MEMBERSHIP_KINDS"]
+
+
+def poisson_arrivals(rng, rate: float, duration_s: float,
+                     start_s: float = 0.0) -> np.ndarray:
+    """Sorted Poisson arrival times over ``[start_s, start_s+duration_s]``.
+
+    Conditional-uniformity construction: draw ``n ~ Poisson(rate *
+    duration)``, then ``n`` uniforms over the window, sorted.  The sort
+    runs over the flat float64 array, so even a window holding 10**7
+    arrivals costs well under a second.
+    """
+    n = int(rng.poisson(rate * duration_s))
+    return np.sort(start_s + rng.uniform(0.0, duration_s, size=n))
 
 
 def values_equal(a: Any, b: Any) -> bool:
@@ -55,7 +71,6 @@ def values_equal(a: Any, b: Any) -> bool:
     bit-identical.  Handles numpy arrays and nested containers.
     """
     if hasattr(a, "shape") or hasattr(b, "shape"):  # numpy-like
-        import numpy as np
         return bool(np.array_equal(np.asarray(a), np.asarray(b)))
     if isinstance(a, dict) and isinstance(b, dict):
         return (a.keys() == b.keys()
@@ -230,37 +245,34 @@ class ChaosSchedule:
         does not perturb the others.
         """
         schedule = cls()
-
-        def arrivals(rng, rate: float) -> List[float]:
-            n = int(rng.poisson(rate * duration_s))
-            return sorted(start_s + float(u)
-                          for u in rng.uniform(0.0, duration_s, size=n))
-
         if worker_kill_rate > 0 and len(workers) > 1:
             rng = generator(seed, "chaos", "worker-kill")
             victims: set = set()
-            for t in arrivals(rng, worker_kill_rate):
+            for t in poisson_arrivals(rng, worker_kill_rate,
+                                      duration_s, start_s):
                 if len(victims) >= len(workers) - 1:
                     break
                 alive = [w for w in workers if w not in victims]
                 victim = alive[int(rng.integers(len(alive)))]
                 victims.add(victim)
-                schedule.kill_worker(victim, at=t)
+                schedule.kill_worker(victim, at=float(t))
         if gpu_fault_rate > 0 and gpus_per_worker > 0:
             rng = generator(seed, "chaos", "gpu-fault")
-            for t in arrivals(rng, gpu_fault_rate):
+            for t in poisson_arrivals(rng, gpu_fault_rate,
+                                      duration_s, start_s):
                 worker = workers[int(rng.integers(len(workers)))]
                 device = int(rng.integers(gpus_per_worker))
                 kind = GPU_FAULT_KINDS[int(rng.integers(len(GPU_FAULT_KINDS)))]
-                schedule.fail_gpu(worker, device, at=t, kind=kind)
+                schedule.fail_gpu(worker, device, at=float(t), kind=kind)
         if pcie_fault_rate > 0 and gpus_per_worker > 0:
             rng = generator(seed, "chaos", "pcie-fault")
-            for t in arrivals(rng, pcie_fault_rate):
+            for t in poisson_arrivals(rng, pcie_fault_rate,
+                                      duration_s, start_s):
                 worker = workers[int(rng.integers(len(workers)))]
                 device = int(rng.integers(gpus_per_worker))
                 kind = PCIE_FAULT_KINDS[
                     int(rng.integers(len(PCIE_FAULT_KINDS)))]
-                schedule.fault_pcie(worker, device, at=t, kind=kind)
+                schedule.fault_pcie(worker, device, at=float(t), kind=kind)
         return schedule
 
 
@@ -290,16 +302,13 @@ class ChurnSchedule(ChaosSchedule):
         that would shrink the pool below ``min_workers`` are dropped.
         """
         schedule = cls()
-
-        def arrivals(rng, rate: float) -> List[float]:
-            n = int(rng.poisson(rate * duration_s))
-            return sorted(start_s + float(u)
-                          for u in rng.uniform(0.0, duration_s, size=n))
-
         join_rng = generator(seed, "churn", "join")
         leave_rng = generator(seed, "churn", "leave")
-        timeline = [(t, "join") for t in arrivals(join_rng, join_rate)] + \
-                   [(t, "leave") for t in arrivals(leave_rng, leave_rate)]
+        timeline = [
+            (t, "join") for t in poisson_arrivals(
+                join_rng, join_rate, duration_s, start_s).tolist()] + [
+            (t, "leave") for t in poisson_arrivals(
+                leave_rng, leave_rate, duration_s, start_s).tolist()]
         timeline.sort()
         pool = list(workers)
         next_id = 0
@@ -361,6 +370,10 @@ class ChaosEngine:
         self.schedule = schedule
         self.env = cluster.env
         self.applied: List[ChaosEvent] = []
+        #: Simulated time each ``applied`` event actually took effect
+        #: (index-aligned).  Later than ``event.at`` when the engine was
+        #: installed after the event's scheduled time had already passed.
+        self.applied_at: List[float] = []
         #: Events that could not be applied (e.g. drain/leave of a worker
         #: that never joined or already left), with the reason.
         self.skipped: List[Tuple[ChaosEvent, str]] = []
@@ -374,12 +387,16 @@ class ChaosEngine:
 
     # -- the injector process -----------------------------------------------------
     def _run(self) -> Generator[Event, None, None]:
+        # _apply never yields, so the injector falls behind schedule only
+        # for events whose time had passed before it started: those take
+        # effect at the start.  Every other event is applied at its ``at``.
+        started = self.env.now
         for event in self.schedule.events:
             if event.at > self.env.now:
                 yield self.env.timeout(event.at - self.env.now)
-            self._apply(event)
+            self._apply(event, max(event.at, started))
 
-    def _apply(self, event: ChaosEvent) -> None:
+    def _apply(self, event: ChaosEvent, applied_at: float) -> None:
         obs = self.cluster.obs
         tracer = obs.tracer
         track = tracer.track("chaos", "injector")
@@ -398,6 +415,7 @@ class ChaosEngine:
                           else {"device": event.device}))
         obs.registry.counter("chaos.events", kind=event.kind.value).inc()
         self.applied.append(event)
+        self.applied_at.append(applied_at)
         if obs.recorder is not None:
             # Post-mortem bundle at the moment of injection: the trace
             # slice and metric windows show the cluster state the fault
@@ -481,22 +499,26 @@ class ChaosEngine:
         """Per-event recovery latency (time to steady state), derived by
         windowing the cluster's recovery-action log.
 
-        Each applied event owns the window from its injection time to the
-        next event's (the last window is open-ended).  Its recovery latency
-        is the time from injection to the *last* recovery action inside the
-        window — declarations, retry re-placements, lineage recomputes,
-        migrations, drain completions.  An event whose window contains no
-        actions (e.g. a join with nothing to rebalance) recovered in 0.
+        Each applied event owns the window from the time it was applied
+        (not its scheduled ``at``, which may already have passed when the
+        engine started) to the next event's (the last window is
+        open-ended).  Its recovery latency is the time from injection to
+        the *last* recovery action inside the window — declarations, retry
+        re-placements, lineage recomputes, migrations, drain completions.
+        An event whose window contains no actions (e.g. a join with nothing
+        to rebalance) recovered in 0.
         """
-        events = sorted(self.applied, key=_event_order)
+        # Applied in schedule order, so both times are already sorted.
+        applied = list(zip(self.applied_at, self.applied))
         log = sorted(self.cluster.recovery_log)
         out = []
-        for i, event in enumerate(events):
-            end = events[i + 1].at if i + 1 < len(events) else float("inf")
-            window = [(t, kind) for t, kind in log if event.at <= t < end]
-            latency = max((t for t, _ in window), default=event.at) - event.at
+        for i, (start, event) in enumerate(applied):
+            end = applied[i + 1][0] if i + 1 < len(applied) else float("inf")
+            window = [(t, kind) for t, kind in log if start <= t < end]
+            latency = max((t for t, _ in window), default=start) - start
             out.append({
                 "at": event.at,
+                "applied_at": start,
                 "kind": event.kind.value,
                 "worker": event.worker,
                 "recovery_latency_s": latency,
@@ -508,7 +530,7 @@ class ChaosEngine:
         """Applied faults + detection/recovery latencies, for resilience
         reports."""
         from repro.obs.metrics import Histogram
-        kills = {e.worker: e.at for e in self.applied
+        kills = {e.worker: t for t, e in zip(self.applied_at, self.applied)
                  if e.kind is FaultKind.WORKER_KILL}
         per_event = self.recovery_latencies()
         hist = Histogram("chaos.recovery_s", ())

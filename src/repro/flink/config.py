@@ -79,12 +79,10 @@ class FlinkConfig:
 
     # Vectorized CPU operators: UDFs marked with
     # ``repro.flink.iterators.vectorized`` are charged the *block* model —
-    # one dispatch per block (``block_overhead_s``) plus SIMD-rate
+    # one dispatch per block (this overhead: loop setup, bounds checks, one
+    # virtual call per block instead of per element) plus SIMD-rate
     # arithmetic — instead of the per-element iterator model.  Functional
     # results are bit-identical; only the charge model changes.
-    vectorized_ops: bool = True
-    # Per-block dispatch overhead of a vectorized operator (loop setup,
-    # bounds checks, one virtual call per block instead of per element).
     block_overhead_s: float = 5e-6
 
     # Job-level fixed overheads (Observation 3 in §6.3: these dominate small
@@ -111,12 +109,6 @@ class FlinkConfig:
     retry_backoff_max_s: float = 30.0
     retry_backoff_jitter: float = 0.1
     retry_jitter_seed: int = 20160816
-
-    # Elastic membership (repro.flink.rebalance): when a worker joins
-    # mid-run, spread already-materialized cached partitions onto it over
-    # the zero-copy wire so iterative jobs use the new capacity without
-    # recomputation.  Draining always migrates regardless of this flag.
-    rebalance_on_join: bool = True
 
     # Operator chaining: fuse element-wise operator chains into one task
     # (Flink's default behavior); see repro.flink.optimizer.
@@ -202,35 +194,6 @@ class FlinkConfig:
             raise ConfigError("shuffle_spill_nbytes must be positive")
         if self.block_overhead_s < 0:
             raise ConfigError("block_overhead_s must be >= 0")
-
-
-@dataclass
-class RuntimeTuning:
-    """Online-tunable runtime knobs (the only *mutable* config surface).
-
-    :class:`FlinkConfig` is frozen — a run's calibration constants never
-    drift — but elastic operation needs a few knobs the
-    :class:`~repro.flink.autoscaler.Autoscaler` can retune *mid-run*:
-    streaming granularity, read-ahead depth and placement bias.  Every
-    consumer reads these through ``cluster.tuning`` instead of the frozen
-    config; they affect the simulated clock only, never functional results.
-    """
-
-    #: Streaming sub-block granularity (initially
-    #: ``FlinkConfig.pipeline_block_nbytes``); the autoscaler widens this
-    #: when PCIe descriptor overhead dominates (``pcie_bound``).
-    pipeline_block_nbytes: float = 8 * 2**20
-    #: Bounded block-queue depth / source read-ahead (initially
-    #: ``FlinkConfig.pipeline_queue_blocks``); raised under ``hdfs_bound``.
-    pipeline_queue_blocks: int = 4
-    #: Bias source placement toward replica holders even when they are
-    #: busier (``pcie_bound`` → keep GPU work next to its cached input).
-    prefer_local_placement: bool = False
-
-    @classmethod
-    def from_flink(cls, flink: FlinkConfig) -> "RuntimeTuning":
-        return cls(pipeline_block_nbytes=flink.pipeline_block_nbytes,
-                   pipeline_queue_blocks=flink.pipeline_queue_blocks)
 
 
 @dataclass(frozen=True)

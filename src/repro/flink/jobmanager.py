@@ -87,8 +87,10 @@ class JobMetrics:
     fallback_tasks: int = 0
     #: Streaming-executor counters (zero under the staged executor): the
     #: deepest block-queue occupancy seen, producer stalls on full queues
-    #: (count and stalled seconds), and H2D copies that waited for host
-    #: bytes to stream in.  Surfaced by repro.flink.report.breakdown.
+    #: (count and stalled seconds; the HDFS reader's read-ahead waits
+    #: included), and H2D copies that waited for host bytes to stream in
+    #: (starvation, never counted as backpressure).  Surfaced by
+    #: repro.flink.report.breakdown.
     pipeline_max_queue_depth: int = 0
     pipeline_backpressure_stalls: int = 0
     pipeline_backpressure_s: float = 0.0
@@ -212,16 +214,12 @@ class TaskContext:
         one dispatch per pipeline-sized block instead of a virtual call per
         element, with arithmetic at the SIMD rate
         (:attr:`repro.flink.config.CPUSpec.simd_flops_per_core`).  Used for
-        UDFs marked :func:`repro.flink.iterators.vectorized` when
-        ``FlinkConfig.vectorized_ops`` is on; functional results are
-        unchanged — only the charge model differs.
+        UDFs marked :func:`repro.flink.iterators.vectorized`; functional
+        results are unchanged — only the charge model differs.
         """
         flink = self.config.flink
-        # Block width through the *tuning* overlay, not the frozen config:
-        # the autoscaler widens it online; results are unchanged (the
-        # charge model only shifts dispatch overhead).
         n_blocks = max(1, math.ceil(nominal_nbytes
-                                    / self.cluster.tuning.pipeline_block_nbytes))
+                                    / flink.pipeline_block_nbytes))
         seconds = (n_blocks * flink.block_overhead_s
                    + nominal_elements * flops_per_element
                    / self.config.cpu.simd_flops_per_core)
@@ -310,8 +308,7 @@ class JobManager:
             # and departed ones stop being considered.
             scheduler = Scheduler(self.cluster.member_names, tracer=tracer,
                                   health=self.cluster.worker_is_schedulable,
-                                  monitor=obs.monitor,
-                                  tuning=self.cluster.tuning)
+                                  monitor=obs.monitor)
 
             if flink.executor == "pipelined":
                 from repro.flink.pipeline import PipelinedExecutor

@@ -92,6 +92,8 @@ class BlockStream:
         self._avail: List[Tuple[float, Event]] = []
         self._credit: List[Tuple[int, Event]] = []
         # Stats surfaced via trace spans and the metrics registry.
+        # Backpressure (producer blocked on a full queue), counted by
+        # TaskContext.stream_reserve.
         self.max_depth = 0
         self.stall_count = 0
         self.stall_seconds = 0.0
@@ -450,10 +452,10 @@ class PipelinedExecutor:
                 # the pipeline nothing to overlap on small inputs).
                 plan = _split_chunks(
                     [b.nbytes for b in vertex.assigned_blocks],
-                    self.cluster.tuning.pipeline_block_nbytes)
+                    self.config.flink.pipeline_block_nbytes)
                 stream = BlockStream(
                     self.env, plan,
-                    self.cluster.tuning.pipeline_queue_blocks,
+                    self.config.flink.pipeline_queue_blocks,
                     self._n_subs.get(op.uid, 0))
                 self._streams[op.uid][i] = stream
             self._shells[op.uid][i].succeed(shell)
@@ -588,7 +590,7 @@ class PipelinedExecutor:
                      if in_stream.total_nbytes > 0 else 0.0)
             out_stream = BlockStream(
                 self.env, [b * ratio for b in in_stream.block_nbytes],
-                self.cluster.tuning.pipeline_queue_blocks,
+                self.config.flink.pipeline_queue_blocks,
                 self._n_subs.get(uid, 0))
             self._streams[uid][i] = out_stream
             self._shells[uid][i].succeed(shell)

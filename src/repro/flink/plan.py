@@ -96,14 +96,12 @@ def charge_udf_compute(ctx: "TaskContext", cost: OpCost,
     """Charge CPU time for an operator, picking the right cost model.
 
     When every UDF involved opts in via
-    :func:`repro.flink.iterators.vectorized` (and
-    ``FlinkConfig.vectorized_ops`` is on), the operator is charged the
+    :func:`repro.flink.iterators.vectorized`, the operator is charged the
     *block* model — per-block dispatch plus SIMD-rate arithmetic
     (:meth:`TaskContext.charge_block_compute`); otherwise the classic
     one-element-at-a-time iterator model applies.
     """
-    if (ctx.config.flink.vectorized_ops and udfs
-            and all(is_vectorized(u) for u in udfs)):
+    if udfs and all(is_vectorized(u) for u in udfs):
         yield from ctx.charge_block_compute(
             nominal_count, cost.flops_per_element, nominal_nbytes)
     else:
@@ -301,7 +299,8 @@ class HdfsSource(Operator):
                     if first < stream.n_blocks:
                         # Bounded read-ahead: hold the next block's read
                         # until its first sub-block could be published.
-                        yield stream.reserve(first)
+                        # A wait here is backpressure and counted as such.
+                        yield from ctx.stream_reserve(stream, first)
 
                     def on_chunk(cum, _base=offsets[b_idx]):
                         state["avail"] = _base + cum

@@ -24,7 +24,7 @@ locality-aware scheduling (consumers now colocate with the partition's new
 home) and age out by LRU; the destination warms through the normal
 cache-miss path on first access.  An abrupt leave needs none of this —
 lineage recovery recomputes lost partitions wherever the scheduler re-places
-them (docs/FAULT_TOLERANCE.md, "Elasticity & autoscaling").
+them (docs/FAULT_TOLERANCE.md, "Elasticity").
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class Rebalancer:
         tracer = cluster.obs.tracer
         track = tracer.track(cluster.master_name, "rebalance")
         n_blocks = max(1, math.ceil(
-            nbytes / cluster.tuning.pipeline_block_nbytes))
+            nbytes / cluster.config.flink.pipeline_block_nbytes))
         with tracer.span("rebalance.migrate", "rebalance", track,
                          dataset=uid, partition=part.index, src=source,
                          dst=target, nbytes=nbytes):

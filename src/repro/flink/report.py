@@ -167,7 +167,6 @@ _RESILIENCE_COUNTERS = (
     ("churn.drains", "workers drained"),
     ("churn.leaves", "workers left"),
     ("rebalance.partitions", "partitions migrated"),
-    ("autoscale.decisions", "autoscaler decisions"),
 )
 
 

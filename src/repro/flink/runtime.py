@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.network import Network
 from repro.common.simclock import Environment
-from repro.flink.config import ClusterConfig, RuntimeTuning
+from repro.flink.config import ClusterConfig
 from repro.flink.dataset import DataSet
 from repro.flink.fault import FailureInjector
 from repro.flink.jobmanager import JobManager, JobMetrics
@@ -95,9 +95,6 @@ class Cluster:
         # membership changes placement and timing only.
         self._members: List[str] = list(names)
         self._next_elastic_id = 0
-        # Online-tunable knobs (autoscaler); consumers read these instead of
-        # the frozen FlinkConfig fields they mirror.
-        self.tuning = RuntimeTuning.from_flink(flink)
         # Recovery-action log: (time, kind) of every master-visible step
         # back toward steady state (declarations, re-placements, lineage
         # recomputes, migrations).  Appends only — never schedules events —
@@ -146,17 +143,16 @@ class Cluster:
                        tracer.track(self.master_name, "membership"),
                        worker=worker, **args)
 
-    def add_worker(self, name: Optional[str] = None,
-                   rebalance: Optional[bool] = None) -> str:
+    def add_worker(self, name: Optional[str] = None) -> str:
         """Register a new worker node mid-run; returns its name.
 
         The joiner gets a TaskManager (with fresh slots), a co-located HDFS
         datanode (eligible for new block placements), a network port, and is
         enrolled with the monitor and the heartbeat plane.  It becomes
-        schedulable immediately; when ``rebalance`` (default
-        ``FlinkConfig.rebalance_on_join``) is on and cached partitions
-        exist, a background process migrates a fair share onto it over the
-        zero-copy wire (see :mod:`repro.flink.rebalance`).
+        schedulable immediately; when cached partitions exist, a background
+        process migrates a fair share onto it over the zero-copy wire so
+        iterative jobs use the new capacity without recomputation (see
+        :mod:`repro.flink.rebalance`).
         """
         if name is None:
             name = f"elastic{self._next_elastic_id}"
@@ -172,9 +168,7 @@ class Cluster:
         self._churn_instant("churn.join", name)
         self.obs.registry.counter("churn.joins", worker=name).inc()
         self.obs.monitor.count("churn.events", event="join")
-        do_rebalance = (self.config.flink.rebalance_on_join
-                        if rebalance is None else rebalance)
-        if do_rebalance and any(self.materialized.values()):
+        if any(self.materialized.values()):
             from repro.flink.rebalance import Rebalancer
             self.env.process(Rebalancer(self).rebalance_onto(name),
                              name=f"rebalance-{name}")

@@ -37,7 +37,7 @@ class Scheduler:
 
     def __init__(self, worker_names, tracer=None,
                  health: Optional[Callable[[str], bool]] = None,
-                 monitor=None, tuning=None):
+                 monitor=None):
         # Either a static name list or a live-membership callable
         # (Cluster.member_names): elastic joiners become placement
         # candidates the moment they register, mid-job included.
@@ -56,9 +56,6 @@ class Scheduler:
         # Optional repro.obs.monitor.GMonitor: per-worker queue depth and
         # placement counts become live series.
         self.monitor = monitor
-        # Optional repro.flink.config.RuntimeTuning: the autoscaler's
-        # prefer-cache bias reads through this.
-        self.tuning = tuning
         # Fault recency per worker (monotone sequence numbers): the
         # deterministic tie-breaker when every healthy worker is in a
         # reschedule's avoid set.
@@ -148,13 +145,8 @@ class Scheduler:
                 # Prefer locality, but never at the cost of a second task
                 # wave: if every local replica host is busier than the
                 # least-loaded worker, spread instead (a remote HDFS read is
-                # cheaper than queueing behind a slot).  Under the
-                # autoscaler's prefer-cache bias (pcie_bound) locality wins
-                # unconditionally — keeping GPU work next to its cached
-                # input beats avoiding a slot queue.
-                prefer = (self.tuning is not None
-                          and self.tuning.prefer_local_placement)
-                if prefer or self._load[best_local] <= self._load[worker]:
+                # cheaper than queueing behind a slot).
+                if self._load[best_local] <= self._load[worker]:
                     worker = best_local
                     reason = "block-local"
             vertex.worker = self._assign(worker)

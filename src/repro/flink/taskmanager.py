@@ -87,11 +87,6 @@ class TaskManager:
                 if not evt.triggered:
                     evt.succeed()
 
-    @property
-    def active_subtasks(self) -> int:
-        """Subtasks queued for a slot or running here (autoscaler signal)."""
-        return len(self._running)
-
     def quiesced(self) -> Event:
         """An event firing once no subtask is queued or running here.
 

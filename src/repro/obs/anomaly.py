@@ -12,7 +12,7 @@ into drift scores, slopes, and changepoints:
   mean shift larger than ``z_threshold`` pooled standard deviations.
 * :class:`SlidingTrend` — the online form used by
   :class:`~repro.obs.monitor.AlertEngine` ``trend_above``/``trend_below``
-  predicates and by the autoscaler's predictive policies.
+  predicates.
 
 Everything is pure arithmetic over the values fed in — no randomness, no
 clock access — so identical seeded simulation runs produce bit-identical
@@ -135,8 +135,8 @@ def changepoints(points: Sequence[Point], window: int = 8,
 class SlidingTrend:
     """Online trend state over the last ``window`` values of one series.
 
-    Feed one value per closed window (or per autoscaler tick); read the
-    current :meth:`slope`, :meth:`zscore`, and :meth:`mean` at any time.
+    Feed one value per closed window; read the current :meth:`slope`,
+    :meth:`zscore`, and :meth:`mean` at any time.
     Pure arithmetic — safe to drive from simulation processes without
     touching the clock.
     """

@@ -7,8 +7,8 @@ simulated clock advances**: it samples the live
 simulated time, tracks latency/availability SLOs with error budgets and
 burn rates, evaluates alert rules (threshold / rate-of-change /
 sustained-window) with a firing→resolved lifecycle, and rolls worker /
-device / cluster health scores — the substrate for admission-control SLOs
-and a profiler-driven autoscaler (ROADMAP items 1 and 4).
+device / cluster health scores — the substrate for admission-control
+SLOs.
 
 Clock discipline (the PR 2 contract, kept here): the monitor **never
 schedules simulation events**.  Windows are closed lazily — every feed
@@ -816,10 +816,9 @@ class GMonitor:
         Keyed by the series key; each snapshot carries ``slope`` (value
         per window, least-squares over the last ``window`` points),
         ``zscore`` (EWMA drift of the latest point), ``mean``, ``last``
-        and ``direction``.  ``name`` restricts to one series family —
-        the autoscaler reads ``trends("scheduler.slot_pressure")`` for
-        its predictive policies.  Pure arithmetic over already-closed
-        windows; never advances the clock.
+        and ``direction``.  ``name`` restricts to one series family.
+        Pure arithmetic over already-closed windows; never advances the
+        clock.
         """
         out: Dict[str, Dict[str, Any]] = {}
         for s in self.store.all_series():

@@ -1,4 +1,4 @@
-"""Elastic membership end-to-end: join/drain/leave, rebalancing, autoscaling.
+"""Elastic membership end-to-end: join/drain/leave, rebalancing.
 
 Covers the elasticity contracts:
 
@@ -10,8 +10,6 @@ Covers the elasticity contracts:
   retry, lineage recovery);
 * ``Scheduler.reschedule`` has a deterministic fallback when every healthy
   worker is in the avoid set (the satellite regression);
-* the autoscaler actuates on slot pressure, remote-read fraction and
-  pcie_bound profiles, respecting cooldown and the worker ceiling;
 * empty chaos/churn schedules perturb nothing, even with monitoring and
   tracing enabled under the pipelined executor.
 """
@@ -19,7 +17,6 @@ Covers the elasticity contracts:
 import pytest
 
 from repro.flink import FlinkSession
-from repro.flink.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.flink.chaos import (
     ChaosSchedule,
     ChurnSchedule,
@@ -233,179 +230,6 @@ class TestSchedulerFallback:
         assert sched.reschedule(vertex, avoid=("w0",)) == "w0"
 
 
-class TestAutoscaler:
-    def test_pcie_bound_profile_actuates_immediately(self):
-        cluster = make_cluster(n_workers=2)
-        scaler = Autoscaler(cluster)
-        before = cluster.tuning.pipeline_block_nbytes
-        scaler.observe_profile(
-            {"operators": {"gpu-map": {"class": "pcie_bound"}}})
-        assert cluster.tuning.prefer_local_placement
-        assert cluster.tuning.pipeline_block_nbytes == 2 * before
-        assert [d.action for d in scaler.decisions] == ["prefer_cache"]
-
-    def test_non_pcie_profile_is_ignored(self):
-        cluster = make_cluster(n_workers=2)
-        scaler = Autoscaler(cluster)
-        scaler.observe_profile(
-            {"operators": {"map": {"class": "cpu_bound"}}})
-        assert not cluster.tuning.prefer_local_placement
-        assert scaler.decisions == []
-
-    def test_slot_pressure_adds_worker_with_cooldown_and_ceiling(self):
-        cluster = make_cluster(n_workers=2)
-        policy = AutoscalerPolicy(cooldown_s=5.0, max_workers=3)
-        scaler = Autoscaler(cluster, policy)
-        scaler._maybe_add_worker(pressure=2.0)
-        assert len(cluster.member_names()) == 3
-        # Cooldown: an immediate second trigger is a no-op.
-        scaler._maybe_add_worker(pressure=2.0)
-        assert len(cluster.member_names()) == 3
-        # Ceiling: even past the cooldown the cluster never exceeds it.
-        cluster.env.run(until=10.0)
-        scaler._maybe_add_worker(pressure=2.0)
-        assert len(cluster.member_names()) == 3
-        assert [d.signal for d in scaler.decisions] == ["sched_bound"]
-
-    def test_remote_reads_deepen_queue(self):
-        cluster = make_cluster(n_workers=2, enable_tracing=True)
-        scaler = Autoscaler(cluster)
-        registry = cluster.obs.registry
-        registry.counter("hdfs.reads", locality="remote").inc(9)
-        registry.counter("hdfs.reads", locality="local").inc(1)
-        before = cluster.tuning.pipeline_queue_blocks
-        scaler._evaluate()
-        assert cluster.tuning.pipeline_queue_blocks == 2 * before
-        # The next window sees only the *delta*: no new reads, no action.
-        scaler._evaluate()
-        assert cluster.tuning.pipeline_queue_blocks == 2 * before
-
-    def test_pressure_slope_falls_back_to_local_trend(self):
-        cluster = make_cluster(n_workers=2)
-        scaler = Autoscaler(cluster)
-        for p in (0.1, 0.2, 0.3, 0.4):
-            scaler._pressure_trend.update(p)
-        assert scaler.pressure_slope() == pytest.approx(0.1)
-
-    def test_pressure_slope_prefers_monitor_trends(self):
-        cluster = make_cluster(n_workers=2, enable_monitoring=True)
-        scaler = Autoscaler(cluster)
-        s = cluster.obs.monitor.store.series("scheduler.slot_pressure",
-                                             "gauge")
-        for i in range(6):
-            s.record(i, 0.2 * i)
-            s.close(i)
-        # The published gauge's trend wins over the local per-tick state.
-        assert scaler.pressure_slope() == pytest.approx(0.2)
-
-    def test_sustained_low_pressure_drains_a_worker(self):
-        cluster = make_cluster(n_workers=3)
-        policy = AutoscalerPolicy(low_pressure_windows=3, min_workers=2,
-                                  cooldown_s=0.0)
-        scaler = Autoscaler(cluster, policy)
-        scaler._busy_seen = True      # as if the cluster had run tasks
-        for _ in range(3):
-            scaler._evaluate()        # idle cluster: pressure 0 each tick
-        drains = [d for d in scaler.decisions if d.action == "drain_worker"]
-        assert len(drains) == 1
-        assert drains[0].signal == "low_pressure"
-        cluster.env.run()             # let the drain process finish
-        schedulable = [n for n in cluster.member_names()
-                       if cluster.worker_is_schedulable(n)]
-        assert len(schedulable) == 2
-
-    def test_idle_from_birth_never_drains(self):
-        # Before any load is observed (e.g. during the HDFS load phase)
-        # low-pressure windows must not accumulate: draining there would
-        # race in-flight block writes.
-        cluster = make_cluster(n_workers=3)
-        policy = AutoscalerPolicy(low_pressure_windows=1, min_workers=1,
-                                  cooldown_s=0.0)
-        scaler = Autoscaler(cluster, policy)
-        for _ in range(5):
-            scaler._evaluate()
-        assert all(d.action != "drain_worker" for d in scaler.decisions)
-        assert not scaler._busy_seen
-
-    def test_min_workers_floor_blocks_drain(self):
-        cluster = make_cluster(n_workers=2)
-        policy = AutoscalerPolicy(low_pressure_windows=1, min_workers=2,
-                                  cooldown_s=0.0)
-        scaler = Autoscaler(cluster, policy)
-        scaler._busy_seen = True
-        for _ in range(5):
-            scaler._evaluate()
-        assert all(d.action != "drain_worker" for d in scaler.decisions)
-        assert len(cluster.member_names()) == 2
-
-    def test_scale_down_disabled_never_drains(self):
-        cluster = make_cluster(n_workers=3)
-        policy = AutoscalerPolicy(low_pressure_windows=1, scale_down=False,
-                                  cooldown_s=0.0)
-        scaler = Autoscaler(cluster, policy)
-        scaler._busy_seen = True
-        for _ in range(5):
-            scaler._evaluate()
-        assert all(d.action != "drain_worker" for d in scaler.decisions)
-
-    def test_predictive_scale_down_drains_idle_worker_bit_identically(self):
-        from repro.core import GFlinkCluster, GFlinkSession
-        from repro.flink import ClusterConfig, CPUSpec
-        from repro.workloads import KMeansWorkload
-
-        def run(scaled):
-            cluster = GFlinkCluster(ClusterConfig(
-                n_workers=4, cpu=CPUSpec(cores=2),
-                gpus_per_worker=("c2050",)))
-            scaler = None
-            if scaled:
-                # slot_pressure_high=10 suppresses scale-up so the run
-                # isolates the drain path; the inter-iteration submit
-                # gaps of KMeans provide the sustained-idle windows.
-                scaler = Autoscaler(cluster, AutoscalerPolicy(
-                    interval_s=0.1, cooldown_s=1.0,
-                    low_pressure_windows=3, min_workers=2,
-                    slot_pressure_high=10.0))
-                scaler.start()
-            res = KMeansWorkload(real_elements=3000, iterations=3).run(
-                GFlinkSession(cluster), "cpu")
-            if scaler:
-                scaler.stop()
-            return res, scaler, cluster
-
-        plain, _, _ = run(scaled=False)
-        scaled, scaler, cluster = run(scaled=True)
-        cluster.env.run()             # finish in-flight drain processes
-        drains = [d for d in scaler.decisions
-                  if d.action == "drain_worker"]
-        assert drains, "sustained idle windows never triggered a drain"
-        assert all(d.signal == "low_pressure" for d in drains)
-        schedulable = [n for n in cluster.member_names()
-                       if cluster.worker_is_schedulable(n)]
-        assert len(schedulable) >= scaler.policy.min_workers
-        assert len(schedulable) < 4
-        assert values_equal(plain.value, scaled.value)
-
-    def test_autoscaled_run_is_identical_and_never_slower(self):
-        def run_job(cluster):
-            session = FlinkSession(cluster)
-            data = session.from_collection(list(range(80)), parallelism=8)
-            return (data.map(lambda x: x * 2, name="double")
-                        .map(lambda x: x - 1, name="dec")
-                        .collect())
-
-        fixed = run_job(make_cluster(n_workers=2))
-        cluster = make_cluster(n_workers=2)
-        scaler = Autoscaler(cluster, AutoscalerPolicy(
-            interval_s=0.5, cooldown_s=0.5, max_workers=4,
-            slot_pressure_high=1.01))
-        scaler.start()
-        result = run_job(cluster)
-        scaler.stop()
-        assert values_equal(sorted(fixed.value), sorted(result.value))
-        assert result.seconds <= fixed.seconds + 1e-9
-
-
 class TestEmptySchedules:
     """Satellite: an installed-but-empty schedule perturbs nothing, even
     with monitoring + tracing on under the pipelined executor."""
@@ -454,3 +278,24 @@ class TestRecoveryLatencyReport:
             total_seconds = 1.0
         text = resilience_report(engine, _Result())
         assert "recovery latency" in text
+
+    def test_latency_measured_from_applied_time_not_scheduled_time(self):
+        cluster = make_cluster(n_workers=3, heartbeat_interval_s=0.05,
+                               heartbeat_timeout_s=0.1,
+                               retry_backoff_base_s=0.01)
+        cluster.env.run(until=30.0)
+        # Scheduled in the past: the engine applies it on install, at 30.
+        engine = cluster.install_chaos(
+            ChaosSchedule().kill_worker("worker2", at=0.5))
+        session = FlinkSession(cluster)
+        data = session.from_collection(list(range(40)), parallelism=6) \
+            .map(lambda x: x + 1, name="slow").persist()
+        result = data.collect()
+        cluster.env.run()
+        assert engine.applied_at == [30.0]
+        summary = engine.summary()
+        event = summary["per_event"][0]
+        assert event["at"] == 0.5 and event["applied_at"] == 30.0
+        assert 0.1 <= event["recovery_latency_s"] <= result.seconds
+        detection = summary["detection_latency_s"]["worker2"]
+        assert 0.1 <= detection < 1.0

@@ -273,6 +273,34 @@ class TestPipelineObservability:
         assert reg.sum_values("pipeline.backpressure.stalls") >= 0
         assert reg.sum_values("pipeline.backpressure.blocks") >= 0
 
+    @staticmethod
+    def _gpu_run(workload, **flink_overrides):
+        cluster = GFlinkCluster(ClusterConfig(
+            n_workers=2, cpu=CPUSpec(cores=2), gpus_per_worker=("c2050",),
+            flink=FlinkConfig(enable_tracing=True, **flink_overrides)))
+        result = workload.run(GFlinkSession(cluster), "gpu")
+        return result.job_metrics, cluster.obs.registry
+
+    def test_reader_read_ahead_waits_count_as_backpressure(self):
+        # A depth-1 queue holds the HDFS reader's next block read until
+        # credits return: that wait is backpressure and must be counted.
+        metrics, reg = self._gpu_run(
+            PageRankWorkload(real_pages=500, iterations=2),
+            pipeline_queue_blocks=1)
+        assert sum(m.pipeline_backpressure_stalls for m in metrics) > 0
+        assert sum(m.pipeline_backpressure_s for m in metrics) > 0
+        assert reg.sum_values("pipeline.backpressure.stalls") > 0
+
+    def test_h2d_starvation_is_not_backpressure(self):
+        # The GPU waits on host bytes, the producer never blocks.
+        metrics, reg = self._gpu_run(KMeansWorkload(
+            nominal_elements=5e6, real_elements=2000, iterations=2))
+        assert sum(m.pipeline_h2d_starved for m in metrics) > 0
+        assert reg.sum_values("pipeline.h2d.starved") > 0
+        assert sum(m.pipeline_backpressure_stalls for m in metrics) == 0
+        assert reg.sum_values("pipeline.backpressure.stalls") == 0
+        assert reg.sum_values("pipeline.backpressure.blocks") == 0
+
     def test_invalid_executor_rejected(self):
         with pytest.raises(ConfigError):
             FlinkConfig(executor="bogus")
