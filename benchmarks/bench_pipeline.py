@@ -2,11 +2,12 @@
 
 Two experiments, consolidated into ``BENCH_PR6.json``:
 
-* **A/B** — the same workloads run under the barriered staged executor and
-  the streaming block-pipelined one.  Results must be *bit-identical* (the
-  data plane is untouched; only the clock changes) and the pipelined clock
-  must never lose: overlapping HDFS reads with deserialization, H2D copies
-  and kernels can only hide latency, never add it.
+* **A/B** — the same workloads run under the staged ordering policy (one
+  barriered operator wave at a time) and the streaming block-pipelined
+  one.  Results must be *bit-identical* (the data plane is untouched; only
+  the clock changes) and the pipelined clock must never lose: overlapping
+  HDFS reads with deserialization, H2D copies and kernels can only hide
+  latency, never add it.
 * **Knob sweep** — block size (``pipeline_block_nbytes``) × queue depth
   (``pipeline_queue_blocks``) on the I/O-bound WordCount.  Finer blocks
   expose more of the read window to downstream stages; deeper queues buy
@@ -99,7 +100,7 @@ def test_pipeline_staged_vs_pipelined(benchmark):
     record_bench("pipeline_staged_vs_pipelined", summary, path=RESULTS_PATH)
     print(f"consolidated results written to {RESULTS_PATH.name}")
 
-    # The two executors share one data plane: results are bit-identical.
+    # The two policies share one data plane: results are bit-identical.
     assert all(p["identical"] for p in points)
     # Overlap can only hide latency; the pipelined clock never loses.
     assert all(p["speedup"] >= 1.0 for p in points)

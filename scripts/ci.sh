@@ -37,8 +37,8 @@ if [[ "${1:-}" != "--fast" ]]; then
     python -m repro.obs.validate traces/ci_wordcount.json
 
     echo "== traced bench smoke: wordcount (staged) + schema validation =="
-    # The barriered executor stays supported (FlinkConfig.executor);
-    # its trace must keep validating too.
+    # The staged ordering policy (FlinkConfig.executor): the same driver,
+    # one operator wave at a time; its trace must keep validating too.
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \
         --executor staged \
         --out traces/ci_wordcount_staged.json
@@ -135,14 +135,15 @@ if [[ "${1:-}" != "--fast" ]]; then
         --threshold operator_wall=0.60 --threshold overlap_pct=0.50 \
         --explain
 
-    echo "== bench smoke: GPU chaining ablation + cache policies + zero-copy shuffle + elasticity + explainer =="
+    echo "== bench smoke: GPU chaining ablation + cache policies + zero-copy shuffle + elasticity + explainer + staged-vs-pipelined A/B =="
     python -m pytest -q \
         benchmarks/bench_ablation_gpu_chaining.py \
         benchmarks/bench_fig8_cache.py \
         benchmarks/bench_shuffle.py \
         benchmarks/bench_elastic.py \
-        benchmarks/bench_explain.py
-    echo "consolidated results written to BENCH_PR1.json, BENCH_PR8.json, BENCH_PR9.json and BENCH_PR10.json"
+        benchmarks/bench_explain.py \
+        benchmarks/bench_pipeline.py
+    echo "consolidated results written to BENCH_PR1.json, BENCH_PR6.json, BENCH_PR8.json, BENCH_PR9.json and BENCH_PR10.json"
 fi
 
 echo "CI OK"

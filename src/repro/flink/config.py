@@ -65,11 +65,9 @@ class FlinkConfig:
     # GStruct SoA regions) and its key extractor is vectorized, partitions
     # ship as raw block regions — no per-row serde; only a per-block
     # descriptor is charged (``shuffle_block_header_s``).  Serde is charged
-    # only at the columnar↔row boundary.  Row payloads always take the
-    # classic per-record path regardless of this flag.
-    columnar_shuffle: bool = True
-    # Fixed cost of framing one shipped columnar block (length/dtype/key
-    # descriptor) on each side of the wire.
+    # only at the columnar↔row boundary; any other exchange takes the
+    # classic per-record path.  This is the fixed cost of framing one
+    # shipped columnar block (length/dtype/key descriptor) on each side.
     shuffle_block_header_s: float = 2e-6
     # A single destination payload larger than this (nominal bytes) is
     # spilled through the simulated HDFS instead of held in exchange

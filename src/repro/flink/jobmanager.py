@@ -5,10 +5,13 @@ paper §3.3).  For each job it:
 
 1. charges the job-submission overhead (Eq. 1's ``T_submit``),
 2. compiles the logical plan into an :class:`~repro.flink.graph.ExecutionGraph`,
-3. walks operators in dependency order, skipping any already materialized
-   (persisted datasets from earlier jobs — the in-memory iteration path),
-4. runs the data exchange for each input edge, then the operator's subtasks
-   in task slots with per-task scheduling/deploy overhead and retry-on-failure,
+3. drives the graph with :class:`~repro.flink.pipeline.PipelinedExecutor`,
+   which reuses datasets already materialized (persisted by earlier jobs —
+   the in-memory iteration path, lineage-recovered if a worker loss took
+   partitions with it) and orders the remaining operators by
+   ``FlinkConfig.executor`` (a staged wave at a time, or pipelined),
+4. runs each subtask here, in a task slot with per-task scheduling/deploy
+   overhead and retry-on-failure (:meth:`JobManager._run_subtask`),
 5. extracts sink results and evicts non-persisted intermediates.
 """
 
@@ -22,19 +25,11 @@ from repro.common.errors import JobExecutionError
 from repro.common.simclock import Environment, Event, InterruptError
 from repro.flink.chaos import backoff_delay
 from repro.flink.fault import FailureInjector, TaskFailure
-from repro.flink.graph import ExecutionGraph, ExecutionJobVertex, \
-    ExecutionVertex
-from repro.flink.partition import Partition, split_evenly
-from repro.flink.plan import (
-    CollectionSource,
-    CollectSink,
-    CountSink,
-    HdfsSink,
-    HdfsSource,
-    Operator,
-)
+from repro.flink.graph import ExecutionGraph, ExecutionVertex
+from repro.flink.partition import Partition
+from repro.flink.plan import CollectSink, CountSink, HdfsSink, HdfsSource, \
+    Operator
 from repro.flink.scheduler import Scheduler
-from repro.flink.shuffle import Exchange
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flink.runtime import Cluster
@@ -85,7 +80,7 @@ class JobMetrics:
     recovered_partitions: int = 0
     #: GPU subtasks that degraded to CPU execution (all devices blacklisted).
     fallback_tasks: int = 0
-    #: Streaming-executor counters (zero under the staged executor): the
+    #: Streaming-executor counters (zero under the staged policy): the
     #: deepest block-queue occupancy seen, producer stalls on full queues
     #: (count and stalled seconds; the HDFS reader's read-ahead waits
     #: included), and H2D copies that waited for host bytes to stream in
@@ -144,7 +139,7 @@ class TaskContext:
         # ``in_stream`` carries the input partition's block availability
         # (``in_slot`` is this consumer's subscriber cursor), ``out_stream``
         # is where this subtask publishes its own blocks.  All None under
-        # the staged executor.  Per-attempt: a retry gets a fresh context,
+        # the staged policy.  Per-attempt: a retry gets a fresh context,
         # so its charges replay from the start (streams are idempotent).
         self.in_stream = in_stream
         self.in_slot = in_slot
@@ -310,23 +305,9 @@ class JobManager:
                                   health=self.cluster.worker_is_schedulable,
                                   monitor=obs.monitor)
 
-            if flink.executor == "pipelined":
-                from repro.flink.pipeline import PipelinedExecutor
-                executor = PipelinedExecutor(self, graph, scheduler,
-                                             metrics, failure_injector)
-                yield from executor.run()
-            else:
-                for op in graph.order:
-                    if op.uid in self.cluster.materialized:
-                        # Persisted from an earlier job — but a worker loss
-                        # may have taken some of its partitions down with
-                        # it; lineage recovery recomputes exactly those.
-                        yield from self._recover_dataset(
-                            op, graph, scheduler, metrics, failure_injector)
-                        continue
-                    yield from self._run_operator(op, graph, scheduler,
-                                                  metrics, failure_injector)
-                    metrics.materialized_uids.add(op.uid)
+            from repro.flink.pipeline import PipelinedExecutor
+            yield from PipelinedExecutor(self, graph, scheduler, metrics,
+                                         failure_injector).run()
 
             metrics.finished_at = self.env.now
         metrics.hdfs_read_bytes = (self.cluster.hdfs.total_bytes_read()
@@ -350,154 +331,7 @@ class JobManager:
         obs.monitor.job_completed(job_name, metrics.makespan)
         return metrics
 
-    # -- per-operator execution ----------------------------------------------------
-    def _run_operator(self, op: Operator, graph: ExecutionGraph,
-                      scheduler: Scheduler, metrics: JobMetrics,
-                      injector: Optional[FailureInjector],
-                      only: Optional[Set[int]] = None
-                      ) -> Generator[Event, None, None]:
-        """Run (or partially re-run) one operator's subtask wave.
-
-        When ``only`` is given this is a lineage-recovery pass: a *fresh*
-        job vertex is scheduled at the dataset's original parallelism, the
-        exchanges ship data only to the lost consumer indices, and only
-        those subtasks execute; their outputs replace the lost partitions
-        in ``cluster.materialized``.
-        """
-        recovering = only is not None
-        if recovering:
-            # A fresh vertex: graph vertices accumulate state (assigned
-            # blocks, attempts) that must not double up across recoveries,
-            # and the lost dataset's parallelism may differ from this job's.
-            jv = ExecutionJobVertex(op, len(self.cluster.materialized[op.uid]))
-            jv.expand()
-        else:
-            jv = graph.job_vertex(op)
-        preassigned: List[Optional[Partition]] = [None] * jv.parallelism
-        per_subtask_inputs: List[List[Partition]] = [
-            [] for _ in range(jv.parallelism)]
-        tracer = self.cluster.obs.tracer
-        jm_track = tracer.track(self.cluster.master_name, "jobmanager")
-        span_name = (f"recover:{op.name}" if recovering else f"op:{op.name}")
-        span_cat = "recovery" if recovering else "operator"
-
-        with tracer.span(span_name, span_cat, jm_track, op=op.name,
-                         parallelism=jv.parallelism):
-            if isinstance(op, HdfsSource):
-                scheduler.schedule_source(jv, self.cluster.hdfs)
-            elif isinstance(op, CollectionSource):
-                parts = split_evenly(op.elements, jv.parallelism,
-                                     op.element_nbytes, op.scale)
-                scheduler.schedule_collection_source(jv, parts)
-                preassigned = list(parts)
-            else:
-                if not recovering:
-                    # Inputs materialized earlier (this job or a previous
-                    # one) may have lost partitions to a worker death —
-                    # recompute exactly those before consuming them.
-                    for inp in op.inputs:
-                        yield from self._recover_dataset(
-                            inp, graph, scheduler, metrics, injector)
-                producer_parts = [self.cluster.materialized[inp.uid]
-                                  for inp in op.inputs]
-                scheduler.schedule_consumer(jv, graph, producer_parts)
-                consumer_workers = [v.worker for v in jv.subtasks]
-                ex_track = tracer.track(self.cluster.master_name, "exchange")
-                for k, (inp, strat) in enumerate(zip(op.inputs,
-                                                     op.strategies)):
-                    exchange = Exchange(
-                        self.env, self.cluster.network,
-                        self.cluster.serializer, strat, producer_parts[k],
-                        jv.parallelism, consumer_workers,
-                        key_fn=op.key_fn_for_input(k),
-                        combiner=op.combiner_for_input(k),
-                        only_consumers=only,
-                        hdfs=self.cluster.hdfs,
-                        flink=self.config.flink)
-                    with tracer.span(f"exchange:{op.name}", "shuffle",
-                                     ex_track, op=op.name, input=k,
-                                     strategy=strat.name) as sp:
-                        result = yield self.env.process(
-                            exchange.run(), name=f"exchange-{op.name}-{k}")
-                        sp.set(bytes=result.bytes_shuffled,
-                               zero_copy=result.bytes_zero_copy)
-                    metrics.shuffle_bytes += result.bytes_shuffled
-                    metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
-                    metrics.shuffle_spill_bytes += result.bytes_spilled
-                    for j, part in enumerate(result.inputs):
-                        per_subtask_inputs[j].append(part)
-
-            if isinstance(op, HdfsSink) and not recovering:
-                self.cluster.hdfs.namenode.create_file(op.path)
-
-            start = self.env.now
-            run_indices = (sorted(only) if recovering
-                           else range(jv.parallelism))
-            subtask_procs = [
-                self.env.process(
-                    self._run_subtask(jv.subtasks[i], per_subtask_inputs[i],
-                                      preassigned[i], jv.parallelism, metrics,
-                                      injector, scheduler),
-                    name=f"{op.name}[{i}]")
-                for i in run_indices
-            ]
-            results = yield self.env.all_of(subtask_procs)
-            outputs = sorted(results.values(), key=lambda p: p.index)
-
-            if not recovering:
-                metrics.operator_spans[op.uid] = OperatorSpan(
-                    name=op.name, parallelism=jv.parallelism,
-                    start=start, end=self.env.now)
-            metrics.subtasks += len(subtask_procs)
-
-        if recovering:
-            existing = self.cluster.materialized[op.uid]
-            pos = {p.index: i for i, p in enumerate(existing)}
-            for part in outputs:
-                existing[pos[part.index]] = part
-            metrics.recovered_partitions += len(outputs)
-            self.cluster.obs.registry.counter(
-                "recovery.recomputed_partitions", op=op.name).inc(
-                    len(outputs))
-            self.cluster.note_recovery_action("recompute")
-        else:
-            self.cluster.materialized[op.uid] = outputs
-        for part in outputs:
-            worker = self.cluster.workers.get(part.worker)
-            if worker is not None:
-                worker.taskmanager.put_partition(op.uid, part)
-        scheduler.release(jv)
-
-    # -- lineage recovery ------------------------------------------------------
-    def _recover_dataset(self, op: Operator, graph: ExecutionGraph,
-                         scheduler: Scheduler, metrics: JobMetrics,
-                         injector: Optional[FailureInjector]
-                         ) -> Generator[Event, None, None]:
-        """Recompute the partitions of ``op`` lost to dead workers.
-
-        Healthy partitions are left untouched: recovery re-executes the
-        producing operator only for the lost indices (after recursively
-        recovering its own inputs).  A dataset missing entirely — evicted
-        intermediates an earlier job cleaned up — is re-run in full.
-        """
-        parts = self.cluster.materialized.get(op.uid)
-        if parts is None:
-            yield from self._run_operator(op, graph, scheduler, metrics,
-                                          injector)
-            # Re-materialized by this job: mark for this job's cleanup so a
-            # non-persisted input does not linger after recovery.
-            metrics.materialized_uids.add(op.uid)
-            return
-        lost = {p.index for p in parts
-                if not self.cluster.worker_is_alive(p.worker)}
-        if not lost:
-            return
-        for inp in op.inputs:
-            yield from self._recover_dataset(inp, graph, scheduler, metrics,
-                                             injector)
-        yield from self._run_operator(op, graph, scheduler, metrics,
-                                      injector, only=lost)
-
+    # -- per-subtask execution ---------------------------------------------------
     def _run_subtask(self, vertex: ExecutionVertex,
                      inputs: List[Partition],
                      preassigned: Optional[Partition],

@@ -1,12 +1,18 @@
-"""Streaming block-pipelined executor (``FlinkConfig.executor="pipelined"``).
+"""The job driver: a streaming block-pipelined executor.
 
-The staged executor in :mod:`repro.flink.jobmanager` runs one operator wave
-at a time with a full barrier in between, so an HDFS read, the CPU parse,
-the H2D upload and the kernel of one dataset never overlap.  This module
-replaces the barrier with per-partition **block streams**: every operator
-becomes a producer/consumer node over a bounded queue of blocks, so block
-*k* can be in a kernel while block *k+1* is mid-H2D and block *k+2* is
-still on disk — all on the simulated clock (docs/STREAMING_EXECUTOR.md).
+Every job runs through :class:`PipelinedExecutor`.  Each operator gets a
+runner; ``FlinkConfig.executor`` only picks the *ordering policy* over
+those runners (docs/STREAMING_EXECUTOR.md):
+
+* ``"pipelined"`` (default) starts every runner at once and replaces the
+  barrier between forward-connected operators with per-partition **block
+  streams**: every operator becomes a producer/consumer node over a
+  bounded queue of blocks, so block *k* can be in a kernel while block
+  *k+1* is mid-H2D and block *k+2* is still on disk — all on the
+  simulated clock.
+* ``"staged"`` runs the same runners one at a time in graph order, and
+  every input edge goes through the barrier exchange: one operator wave
+  at a time, the paper's JobManager, kept as the A/B reference.
 
 Two planes, one result
     The *data plane* (functional values) is evaluated eagerly: block
@@ -15,14 +21,15 @@ Two planes, one result
     (disk, serde, CPU, PCIe charges) streams block-by-block.  Because every
     per-block cost in the engine is linear, the block-split charges sum to
     exactly the staged charges — job results are bit-identical between
-    executors, only the clock differs.
+    the two policies, only the clock differs.
 
 Pipeline regions
     Streaming applies along forward/union edges only
     (:attr:`~repro.flink.plan.ShipStrategy.is_streaming`).  An operator
     with any hash/gather/broadcast/rebalance input is a *barrier* consumer:
-    it waits for all its producers' final partitions, then runs the same
-    :class:`~repro.flink.shuffle.Exchange` the staged executor runs.
+    it waits for all its producers' final partitions, then runs the
+    :class:`~repro.flink.shuffle.Exchange` — the one place a job ships
+    data between operators, lineage recovery included.
 
 Slot sharing
     Streaming consumers ride their producer's task slot
@@ -39,10 +46,12 @@ from __future__ import annotations
 import math
 
 from bisect import bisect_right
-from typing import Any, Dict, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple, \
+    TYPE_CHECKING
 
 from repro.common.simclock import Environment, Event
 from repro.flink.graph import ExecutionGraph, ExecutionJobVertex
+from repro.flink.jobmanager import OperatorSpan
 from repro.flink.partition import Partition, split_evenly
 from repro.flink.plan import (
     CollectionSource,
@@ -253,7 +262,7 @@ def _split_chunks(block_nbytes: List[float],
 
 
 class PipelinedExecutor:
-    """Runs one job's execution graph as a streaming block pipeline.
+    """Runs one job's execution graph: the JobManager's only driver.
 
     Per operator partition it keeps two events — a *shell* (fires as soon
     as the partition's functional value and home worker are known, possibly
@@ -261,7 +270,9 @@ class PipelinedExecutor:
     producing subtask returns) — plus an optional :class:`BlockStream`
     carrying block-level availability.  Streaming consumers start at the
     shell and gate their charges on the stream; barrier consumers wait for
-    finals and reuse the staged Exchange machinery unchanged.
+    finals and run the exchange.  Under the staged policy no edge streams
+    and the runners go one at a time, so every final has fired before its
+    consumer looks.
     """
 
     def __init__(self, jm: "JobManager", graph: ExecutionGraph,
@@ -271,6 +282,7 @@ class PipelinedExecutor:
         self.cluster = jm.cluster
         self.env: Environment = jm.env
         self.config = jm.config
+        self.staged = self.config.flink.executor == "staged"
         self.graph = graph
         self.scheduler = scheduler
         self.metrics = metrics
@@ -286,13 +298,16 @@ class PipelinedExecutor:
         self._op_start: Dict[int, Optional[float]] = {}
         self._region_of: Dict[int, int] = {}
         # Serializes lineage recoveries triggered by concurrent barrier
-        # consumers (the recovery path itself is the staged machinery).
+        # consumers.
         self._recovering: Optional[Event] = None
 
     # -- static wiring ----------------------------------------------------------
     def _streaming_mode(self, op: Operator) -> bool:
-        """True when every input edge of ``op`` streams (and shapes line up)."""
-        if not op.inputs or not op.strategies:
+        """True when every input edge of ``op`` streams (and shapes line up).
+
+        Never under the staged policy: every edge is a barrier there.
+        """
+        if self.staged or not op.inputs or not op.strategies:
             return False
         if not all(s.is_streaming for s in op.strategies):
             return False
@@ -350,30 +365,43 @@ class PipelinedExecutor:
 
     # -- entry point -------------------------------------------------------------
     def run(self) -> Generator[Event, None, None]:
-        """Simulation process executing the whole graph concurrently."""
+        """Simulation process executing the whole graph."""
         fresh: List[Operator] = []
         for op in self.graph.order:
-            if op.uid in self.cluster.materialized:
-                # Persisted from an earlier job: recover lost partitions on
-                # the staged machinery (serially, before the pipeline), then
-                # expose the dataset as already-final.
-                yield from self.jm._recover_dataset(
-                    op, self.graph, self.scheduler, self.metrics,
-                    self.injector)
-                parts = self.cluster.materialized[op.uid]
-                self._shells[op.uid] = [_fired(self.env, p) for p in parts]
-                self._finals[op.uid] = [_fired(self.env, p) for p in parts]
-                self._streams[op.uid] = [None] * len(parts)
-            else:
+            if op.uid not in self.cluster.materialized:
                 fresh.append(op)
+            elif not self.staged:
+                # Persisted from an earlier job: recover lost partitions
+                # serially, before the pipeline starts.
+                yield from self._reuse(op)
         self._wire(fresh)
-        procs = [self.env.process(self._run_op(op),
-                                  name=f"pipeline:{op.name}")
-                 for op in fresh]
-        if procs:
-            yield self.env.all_of(procs)
+        if self.staged:
+            # The staged ordering policy: each runner starts once its
+            # predecessor in graph order finished; a persisted dataset
+            # recovers in its place in that order.
+            fresh_uids = {op.uid for op in fresh}
+            for op in self.graph.order:
+                if op.uid in fresh_uids:
+                    yield from self._run_op(op)
+                else:
+                    yield from self._reuse(op)
+        else:
+            procs = [self.env.process(self._run_op(op),
+                                      name=f"pipeline:{op.name}")
+                     for op in fresh]
+            if procs:
+                yield self.env.all_of(procs)
         for op in fresh:
             self.metrics.materialized_uids.add(op.uid)
+
+    def _reuse(self, op: Operator) -> Generator[Event, None, None]:
+        """Expose a dataset persisted by an earlier job as already final,
+        once lineage recovery has recomputed any partitions it lost."""
+        yield from self._recover(op)
+        parts = self.cluster.materialized[op.uid]
+        self._shells[op.uid] = [_fired(self.env, p) for p in parts]
+        self._finals[op.uid] = [_fired(self.env, p) for p in parts]
+        self._streams[op.uid] = [None] * len(parts)
 
     # -- per-operator runner -------------------------------------------------------
     def _run_op(self, op: Operator) -> Generator[Event, None, None]:
@@ -394,7 +422,6 @@ class PipelinedExecutor:
         results = yield self.env.all_of(procs)
         outputs = sorted(results.values(), key=lambda p: p.index)
 
-        from repro.flink.jobmanager import OperatorSpan
         end = self.env.now
         start = self._op_start[uid] if self._op_start[uid] is not None \
             else end
@@ -408,12 +435,17 @@ class PipelinedExecutor:
             region=self._region_of.get(uid, -1))
 
         self.cluster.materialized[uid] = outputs
+        self._place(uid, outputs, jv)
+        self._publish_queue_stats(op)
+
+    def _place(self, uid: int, outputs: List[Partition],
+               jv: ExecutionJobVertex) -> None:
+        """Register finished partitions with their workers' stores."""
         for part in outputs:
             worker = self.cluster.workers.get(part.worker)
             if worker is not None:
                 worker.taskmanager.put_partition(uid, part)
         self.scheduler.release(jv)
-        self._publish_queue_stats(op)
 
     def _publish_queue_stats(self, op: Operator) -> None:
         streams = [s for s in self._streams.get(op.uid, []) if s is not None]
@@ -443,7 +475,6 @@ class PipelinedExecutor:
         procs = []
         for i in range(jv.parallelism):
             vertex = jv.subtasks[i]
-            shell = op.peek_output(vertex.assigned_blocks, i, vertex.worker)
             stream = None
             if self._emits[op.uid]:
                 # Sub-block plan: each HDFS block split into pipeline-sized
@@ -458,7 +489,9 @@ class PipelinedExecutor:
                     self.config.flink.pipeline_queue_blocks,
                     self._n_subs.get(op.uid, 0))
                 self._streams[op.uid][i] = stream
-            self._shells[op.uid][i].succeed(shell)
+                # Streaming consumers start from the data plane's view.
+                self._shells[op.uid][i].succeed(op.peek_output(
+                    vertex.assigned_blocks, i, vertex.worker))
             procs.append(self.env.process(
                 self._slice(op, jv, i, [], None, needs_slot=True,
                             out_stream=stream),
@@ -477,7 +510,7 @@ class PipelinedExecutor:
 
     def _start_barrier(self, op: Operator, jv: ExecutionJobVertex
                        ) -> Generator[Event, None, list]:
-        """Wait for all input finals, run staged exchanges, spawn subtasks."""
+        """Wait for all input finals, run the exchanges, spawn subtasks."""
         producer_parts: List[List[Partition]] = []
         for inp in op.inputs:
             parts = []
@@ -485,8 +518,7 @@ class PipelinedExecutor:
                 parts.append((yield evt))
             producer_parts.append(sorted(parts, key=lambda p: p.index))
         # A worker may have died between an input completing and this
-        # barrier consuming it — recover lost partitions first, exactly as
-        # the staged executor does before each exchange.
+        # barrier consuming it — recover lost partitions first.
         for idx, inp in enumerate(op.inputs):
             if any(not self.cluster.worker_is_alive(p.worker)
                    for p in producer_parts[idx]):
@@ -494,19 +526,32 @@ class PipelinedExecutor:
                 producer_parts[idx] = sorted(
                     self.cluster.materialized[inp.uid],
                     key=lambda p: p.index)
+        inputs = yield from self._exchange(op, jv, producer_parts)
+        return [self.env.process(
+                    self._slice(op, jv, i, inputs[i], None, needs_slot=True),
+                    name=f"{op.name}[{i}]")
+                for i in range(jv.parallelism)]
 
-        per_subtask_inputs: List[List[Partition]] = [
-            [] for _ in range(jv.parallelism)]
+    def _exchange(self, op: Operator, jv: ExecutionJobVertex,
+                  producer_parts: List[List[Partition]],
+                  only: Optional[Set[int]] = None
+                  ) -> Generator[Event, None, List[List[Partition]]]:
+        """Place ``jv``'s consumers and ship every input of ``op`` to them.
+
+        ``only`` restricts delivery to those consumer indices (a lineage
+        recovery wave).  Returns each consumer subtask's input partitions.
+        """
         self.scheduler.schedule_consumer(jv, self.graph, producer_parts)
         consumer_workers = [v.worker for v in jv.subtasks]
+        inputs: List[List[Partition]] = [[] for _ in range(jv.parallelism)]
         ex_track = self.tracer.track(self.cluster.master_name, "exchange")
         for k, (inp, strat) in enumerate(zip(op.inputs, op.strategies)):
             exchange = Exchange(
                 self.env, self.cluster.network, self.cluster.serializer,
                 strat, producer_parts[k], jv.parallelism, consumer_workers,
                 key_fn=op.key_fn_for_input(k),
-                combiner=op.combiner_for_input(k),
-                hdfs=self.cluster.hdfs, flink=self.cluster.config.flink)
+                combiner=op.combiner_for_input(k), only_consumers=only,
+                hdfs=self.cluster.hdfs, flink=self.config.flink)
             with self.tracer.span(f"exchange:{op.name}", "shuffle", ex_track,
                                   op=op.name, input=k,
                                   strategy=strat.name) as sp:
@@ -518,13 +563,10 @@ class PipelinedExecutor:
             self.metrics.shuffle_zero_copy_bytes += result.bytes_zero_copy
             self.metrics.shuffle_spill_bytes += result.bytes_spilled
             for j, part in enumerate(result.inputs):
-                per_subtask_inputs[j].append(part)
-        return [self.env.process(
-                    self._slice(op, jv, i, per_subtask_inputs[i], None,
-                                needs_slot=True),
-                    name=f"{op.name}[{i}]")
-                for i in range(jv.parallelism)]
+                inputs[j].append(part)
+        return inputs
 
+    # -- lineage recovery ----------------------------------------------------------
     def _recover_serialized(self, op: Operator
                             ) -> Generator[Event, None, None]:
         """Run a lineage recovery, one at a time across runner processes."""
@@ -532,11 +574,103 @@ class PipelinedExecutor:
             yield self._recovering
         self._recovering = Event(self.env)
         try:
-            yield from self.jm._recover_dataset(
-                op, self.graph, self.scheduler, self.metrics, self.injector)
+            yield from self._recover(op)
         finally:
             done, self._recovering = self._recovering, None
             done.succeed()
+
+    def _recover(self, op: Operator) -> Generator[Event, None, None]:
+        """Recompute the partitions of ``op`` lost to dead workers.
+
+        Healthy partitions are left untouched: recovery re-executes the
+        producing operator only for the lost indices (after recursively
+        recovering its own inputs).  A dataset missing entirely — an
+        intermediate an earlier job evicted, or (pipelined) one whose
+        runner has not stored it yet — is re-run in full.
+        """
+        parts = self.cluster.materialized.get(op.uid)
+        if parts is None:
+            yield from self._recompute(op, None)
+            return
+        lost = {p.index for p in parts
+                if not self.cluster.worker_is_alive(p.worker)}
+        if not lost:
+            return
+        for inp in op.inputs:
+            yield from self._recover(inp)
+        yield from self._recompute(op, lost)
+
+    def _recompute(self, op: Operator, lost: Optional[Set[int]]
+                   ) -> Generator[Event, None, None]:
+        """One recovery wave of ``op``, fed from its materialized inputs.
+
+        ``lost=None`` re-runs an evicted dataset in full on this job's
+        vertex, traced as the operator's own run (``op:*``, inputs
+        recovered inside it).  Otherwise a *fresh* vertex at the dataset's
+        original parallelism runs only the lost indices under a
+        ``recover:*`` span, and their outputs replace the lost partitions
+        in ``cluster.materialized``.
+        """
+        store = self.cluster.materialized
+        if lost is None:
+            jv = self.graph.job_vertex(op)
+        else:
+            # Graph vertices accumulate state (assigned blocks, attempts)
+            # that must not double up across recoveries, and the lost
+            # dataset's parallelism may differ from this job's.
+            jv = ExecutionJobVertex(op, len(store[op.uid]))
+            jv.expand()
+        preassigned: List[Optional[Partition]] = [None] * jv.parallelism
+        inputs: List[List[Partition]] = [[] for _ in range(jv.parallelism)]
+        label, cat = (("op", "operator") if lost is None
+                      else ("recover", "recovery"))
+        jm_track = self.tracer.track(self.cluster.master_name, "jobmanager")
+        with self.tracer.span(f"{label}:{op.name}", cat, jm_track,
+                              op=op.name, parallelism=jv.parallelism):
+            if lost is None:
+                for inp in op.inputs:
+                    yield from self._recover(inp)
+            if isinstance(op, HdfsSource):
+                self.scheduler.schedule_source(jv, self.cluster.hdfs)
+            elif isinstance(op, CollectionSource):
+                preassigned = split_evenly(op.elements, jv.parallelism,
+                                           op.element_nbytes, op.scale)
+                self.scheduler.schedule_collection_source(jv, preassigned)
+            else:
+                inputs = yield from self._exchange(
+                    op, jv, [store[inp.uid] for inp in op.inputs], only=lost)
+            start = self.env.now
+            procs = [
+                self.env.process(
+                    self.jm._run_subtask(jv.subtasks[i], inputs[i],
+                                         preassigned[i], jv.parallelism,
+                                         self.metrics, self.injector,
+                                         self.scheduler),
+                    name=f"{op.name}[{i}]")
+                for i in (range(jv.parallelism) if lost is None
+                          else sorted(lost))]
+            results = yield self.env.all_of(procs)
+            outputs = sorted(results.values(), key=lambda p: p.index)
+            self.metrics.subtasks += len(procs)
+
+        if lost is None:
+            # Recorded and stored as the operator's own run would be.
+            self.metrics.operator_spans[op.uid] = OperatorSpan(
+                name=op.name, parallelism=jv.parallelism, start=start,
+                end=self.env.now)
+            store[op.uid] = outputs
+            self.metrics.materialized_uids.add(op.uid)
+        else:
+            existing = store[op.uid]
+            pos = {p.index: i for i, p in enumerate(existing)}
+            for part in outputs:
+                existing[pos[part.index]] = part
+            self.metrics.recovered_partitions += len(outputs)
+            self.obs.registry.counter(
+                "recovery.recomputed_partitions", op=op.name).inc(
+                    len(outputs))
+            self.cluster.note_recovery_action("recompute")
+        self._place(op.uid, outputs, jv)
 
     def _streaming_slice(self, op: Operator, jv: ExecutionJobVertex,
                          i: int) -> Generator[Event, None, Partition]:

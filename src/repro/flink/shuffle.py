@@ -209,7 +209,7 @@ class Exchange:
         vectorized key extractor yielding integer keys on every producer.
         ``COUNT_COMBINER`` and free-form combiners stay on the row path.
         """
-        if not self.flink.columnar_shuffle or not self._columnar_payloads():
+        if not self._columnar_payloads():
             return False
         if self.combiner is COUNT_COMBINER or callable(self.combiner):
             return False
@@ -359,7 +359,7 @@ class Exchange:
 
     # -- broadcast ----------------------------------------------------------------
     def _run_broadcast(self) -> Generator[Event, None, List[Partition]]:
-        columnar = self.flink.columnar_shuffle and self._columnar_payloads()
+        columnar = self._columnar_payloads()
         senders = []
         total_nbytes = sum(p.nominal_nbytes for p in self.producers)
         total_count = sum(p.nominal_count for p in self.producers)

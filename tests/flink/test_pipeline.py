@@ -14,7 +14,11 @@ Covers the executor's contracts:
 * a consumer wave overlaps its producer wave (the behavior
   tests/flink/test_runtime_timing.py pins its staged-only tests against);
 * queue/backpressure stats surface in the metrics registry;
-* a worker killed mid-pipeline recovers to an identical result.
+* a worker killed mid-pipeline recovers to an identical result;
+* one driver under both ordering policies: every ``op:*`` trace span is
+  exactly the operator's ``JobMetrics.operator_spans`` entry, the staged
+  policy never overlaps two operators, and lineage recovery emits the
+  ``recover:*`` spans GXplain's recovery bucket reads.
 """
 
 import pytest
@@ -26,6 +30,8 @@ from repro.flink import ClusterConfig, CPUSpec, FlinkConfig, FlinkSession, \
     OpCost
 from repro.flink.chaos import ChaosSchedule, values_equal
 from repro.flink.optimizer import pipeline_regions
+from repro.obs.explain import attribution_buckets
+from repro.obs.profile import summarize_tracer
 from repro.flink.pipeline import BlockStream, _split_chunks
 from repro.flink.plan import (
     CollectionSource,
@@ -325,3 +331,75 @@ class TestPipelinedChaos:
         assert values_equal(baseline.value, result.value)
         assert engine.summary()["events_applied"] == 1
         assert not chaotic.workers["worker1"].alive
+
+
+EXECUTORS = ["staged", "pipelined"]
+
+
+class TestOneDriver:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_op_spans_are_the_operator_spans(self, executor):
+        # One code path emits both: the op:* span covers the operator's
+        # subtask wave, not the exchange in front of it.
+        cluster = dual_cluster(executor, enable_tracing=True)
+        result = WordCountWorkload(
+            nominal_elements=1e6, real_elements=4000).run(
+                GFlinkSession(cluster), "gpu")
+        expected = sorted(
+            (f"op:{s.name}", s.start, s.seconds)
+            for m in result.job_metrics for s in m.operator_spans.values())
+        traced = sorted((e.name, e.ts, e.dur)
+                        for e in cluster.obs.tracer.spans("operator"))
+        assert traced == expected
+        assert any(e.name == "exchange:wordcount-sum"
+                   for e in cluster.obs.tracer.spans("shuffle"))
+
+    def _join_job(self, executor):
+        cluster = make_cluster(n_workers=2, executor=executor,
+                               enable_chaining=False)
+        sess = FlinkSession(cluster)
+        left = sess.from_collection(list(range(200)), scale=1e3,
+                                    parallelism=2) \
+            .map(lambda x: (x % 7, x), name="left")
+        right = sess.from_collection(list(range(200)), scale=1e3,
+                                     parallelism=2) \
+            .map(lambda x: (x % 7, -x), name="right")
+        sink = CollectSink(left.join(right, lambda t: t[0], lambda t: t[0],
+                                     name="j").op)
+        result = sess.execute(sink)
+        spans = result.metrics.operator_spans
+        return [spans[op.uid] for op in topological_order([sink])], result
+
+    def test_staged_runs_one_operator_at_a_time_in_graph_order(self):
+        ordered, staged = self._join_job("staged")
+        for prev, nxt in zip(ordered, ordered[1:]):
+            assert nxt.start >= prev.end, (prev.name, nxt.name)
+        # The same plan pipelined does overlap its independent branches,
+        # so the check above is not vacuous.
+        piped_ordered, piped = self._join_job("pipelined")
+        assert any(nxt.start < prev.end for prev, nxt
+                   in zip(piped_ordered, piped_ordered[1:]))
+        assert sorted(staged.value) == sorted(piped.value)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_lineage_recovery_emits_recover_spans(self, executor):
+        # A hash-shuffled persisted dataset: recovering it re-runs its
+        # exchange, so the recovery wave leads the critical path.
+        cluster = make_cluster(n_workers=3, executor=executor,
+                               enable_tracing=True)
+        data = FlinkSession(cluster).from_collection(
+            list(range(60)), parallelism=6) \
+            .group_by(lambda x: x % 12) \
+            .reduce(lambda a, b: a + b, name="stage1").persist()
+        sums = data.collect().value
+        cluster.fail_worker(cluster.materialized[data.op.uid][0].worker)
+        result = data.map(lambda x: x * 10, name="stage2").collect()
+        assert sorted(result.value) == sorted(x * 10 for x in sums)
+        assert result.metrics.recovered_partitions > 0
+
+        recover = [e for e in cluster.obs.tracer.spans()
+                   if e.name.startswith("recover:")]
+        assert "recover:stage1" in {e.name for e in recover}
+        assert all(e.cat == "recovery" for e in recover)
+        buckets = attribution_buckets(summarize_tracer(cluster.obs.tracer))
+        assert buckets["recovery"] > 0

@@ -178,38 +178,56 @@ class TestOnlyConsumers:
 
 
 class TestColumnarZeroCopy:
-    def columnar_exchange(self, env, flink, strategy=ShipStrategy.HASH,
-                          n=40, q=4, **kw):
+    """The wire format is chosen per exchange from what it carries.
+
+    Each A/B ships the same values both ways: as NumPy blocks they take
+    the columnar zero-copy path; as Python lists (what a row-typed
+    upstream produces) they take the per-record row path.
+    """
+
+    def columnar_exchange(self, env, columnar=True,
+                          strategy=ShipStrategy.HASH, n=40, q=4, **kw):
         arrs = np.array_split(np.arange(n, dtype=np.int64), 2)
-        producers = [part(i, a, WORKERS[i % 2]) for i, a in enumerate(arrs)]
+        producers = [part(i, a if columnar else a.tolist(), WORKERS[i % 2])
+                     for i, a in enumerate(arrs)]
         if strategy is ShipStrategy.HASH:
             kw.setdefault("key_fn", vectorized(lambda arr: arr))
-        return make_exchange(env, strategy, producers, q, flink=flink, **kw)
+        return make_exchange(env, strategy, producers, q, **kw)
 
     def test_routes_identically_to_row_path(self):
         outs = {}
-        for on in (True, False):
+        for columnar in (True, False):
             env = Environment()
-            flink = FlinkConfig(columnar_shuffle=on)
-            ex = self.columnar_exchange(env, flink)
-            result = run(env, ex)
-            outs[on] = [np.asarray(p.elements) for p in result.inputs]
-            assert (result.bytes_zero_copy > 0) == on
+            result = run(env, self.columnar_exchange(env, columnar))
+            outs[columnar] = [np.asarray(p.elements) for p in result.inputs]
+            assert (result.bytes_zero_copy > 0) == columnar
         for a, b in zip(outs[True], outs[False]):
             assert np.array_equal(a, b)
-        # bytes_shuffled is a property of the data, not the wire format.
+
+    def test_routes_identically_with_a_row_key_fn(self):
+        # The other way onto the row path: columnar payloads keyed by a
+        # row-at-a-time (not vectorized()) extractor.
+        env = Environment()
+        row = run(env, self.columnar_exchange(env, key_fn=lambda x: int(x)))
+        assert row.bytes_zero_copy == 0.0
+        env = Environment()
+        col = run(env, self.columnar_exchange(env))
+        for a, b in zip(col.inputs, row.inputs):
+            assert np.array_equal(np.asarray(a.elements),
+                                  np.asarray(b.elements))
 
     def test_bytes_shuffled_independent_of_wire_format(self):
+        # bytes_shuffled is a property of the data, not the wire format.
         totals = {}
-        for on in (True, False):
+        for columnar in (True, False):
             env = Environment()
-            ex = self.columnar_exchange(env, FlinkConfig(columnar_shuffle=on))
-            totals[on] = run(env, ex).bytes_shuffled
+            ex = self.columnar_exchange(env, columnar)
+            totals[columnar] = run(env, ex).bytes_shuffled
         assert totals[True] == pytest.approx(totals[False])
 
     def test_zero_copy_bypasses_serde_accounting(self):
         env = Environment()
-        ex = self.columnar_exchange(env, FlinkConfig(columnar_shuffle=True))
+        ex = self.columnar_exchange(env)
         result = run(env, ex)
         stats = ex.serializer.stats()
         assert stats.bytes_serialized == 0.0
@@ -220,38 +238,34 @@ class TestColumnarZeroCopy:
         # 50k rows per producer: per-record serde dwarfs the per-block
         # descriptor cost the columnar path charges.
         times = {}
-        for on in (True, False):
+        for columnar in (True, False):
             env = Environment()
-            ex = self.columnar_exchange(
-                env, FlinkConfig(columnar_shuffle=on), n=100_000)
-            run(env, ex)
-            times[on] = env.now
+            run(env, self.columnar_exchange(env, columnar, n=100_000))
+            times[columnar] = env.now
         assert times[True] < times[False]
 
     def test_rebalance_preserves_round_robin_order(self):
         got = {}
-        for on in (True, False):
+        for columnar in (True, False):
             env = Environment()
             ex = self.columnar_exchange(
-                env, FlinkConfig(columnar_shuffle=on),
-                strategy=ShipStrategy.REBALANCE, n=37, q=3)
+                env, columnar, strategy=ShipStrategy.REBALANCE, n=37, q=3)
             result = run(env, ex)
-            got[on] = [list(np.asarray(p.elements)) for p in result.inputs]
+            assert (result.bytes_zero_copy > 0) == columnar
+            got[columnar] = [list(np.asarray(p.elements))
+                             for p in result.inputs]
         assert got[True] == got[False]
 
     def test_count_combiner_stays_on_row_path(self):
         env = Environment()
         ex = self.columnar_exchange(
-            env, FlinkConfig(columnar_shuffle=True),
-            strategy=ShipStrategy.GATHER, q=1, combiner=COUNT_COMBINER)
+            env, strategy=ShipStrategy.GATHER, q=1, combiner=COUNT_COMBINER)
         result = run(env, ex)
         assert result.bytes_zero_copy == 0.0
 
     def test_unvectorized_key_fn_stays_on_row_path(self):
         env = Environment()
-        ex = self.columnar_exchange(
-            env, FlinkConfig(columnar_shuffle=True),
-            key_fn=lambda x: int(x))
+        ex = self.columnar_exchange(env, key_fn=lambda x: int(x))
         result = run(env, ex)
         assert result.bytes_zero_copy == 0.0
 
