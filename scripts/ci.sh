@@ -28,6 +28,18 @@ if grep -rnE '(^|[^a-zA-Z0-9_])_regions\b' src/repro --include='*.py' \
 fi
 echo "ok"
 
+echo "== lint: the monitor is fed only by metrics-registry writes =="
+# One metrics path: outside repro/obs, numbers go to the registry and the
+# monitor derives its windows from those writes; nothing feeds or ticks it.
+feeds='count|gauge|observe|job_completed|task_attempt|heartbeat_missed'
+feeds+='|worker_down|worker_declared_dead|tick'
+if grep -rnE "(monitor|mon)\.($feeds)\(|\btick\(\)" src/repro --include='*.py' \
+        | grep -v 'repro/obs/'; then
+    echo "FAIL: monitor fed or ticked outside repro/obs" >&2
+    exit 1
+fi
+echo "ok"
+
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== traced bench smoke: wordcount (pipelined) + schema validation =="
     python -m repro trace wordcount --workers 2 --real 4000 --nominal 1e6 \

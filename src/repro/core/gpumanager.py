@@ -75,7 +75,7 @@ class GPUManager:
                       name=f"{worker_name}-gpu{i}")
             for i, name in enumerate(gpu_spec_names)
         ]
-        if obs is not None:
+        if obs is not None and obs.monitor is not None:
             # Health scoring per device, plus a pcie_saturated alert rule
             # pinned to each device's calibrated bus ceiling.
             for device in self.devices:

@@ -184,10 +184,8 @@ class GStream:
                             tracer.track(device.name, "copy:h2d"),
                             start=window[0], end=window[1],
                             nbytes=int(hbuf.nbytes), operand=name)
-            obs.registry.counter("gpu.pcie.h2d.bytes",
+            obs.registry.counter("gpu.pcie.bytes",
                                  device=device.name).inc(int(hbuf.nbytes))
-            obs.monitor.count("gpu.pcie.bytes", int(hbuf.nbytes),
-                              device=device.name)
             secondary[name] = dev_buf
         return secondary
 
@@ -207,7 +205,6 @@ class GStream:
         obs = self.manager.obs
         tracer = obs.tracer
         reg = obs.registry
-        monitor = obs.monitor
         # Distinct lanes per engine role make the paper's overlap argument
         # visible in Perfetto: kernels on one row, each copy direction on
         # its own, cache probes as markers.
@@ -215,8 +212,7 @@ class GStream:
         d2h_track = tracer.track(device.name, "copy:d2h")
         kernel_track = tracer.track(device.name, "kernel")
         cache_track = tracer.track(device.name, "cache")
-        h2d_bytes_ctr = reg.counter("gpu.pcie.h2d.bytes", device=device.name)
-        d2h_bytes_ctr = reg.counter("gpu.pcie.d2h.bytes", device=device.name)
+        pcie_bytes_ctr = reg.counter("gpu.pcie.bytes", device=device.name)
         # Pipelined executor: the producing operator may still be streaming
         # the primary input onto the host.  The H2D stage waits for each
         # device block's byte prefix before uploading (cache hits skip the
@@ -270,9 +266,6 @@ class GStream:
                             yield evt
                             host_stream.starved_seconds += (
                                 self.env.now - stall_start)
-                            # The registry counter above is sampled into
-                            # the store; just drive the window clock here.
-                            monitor.tick()
                             tracer.complete(
                                 "h2d.starved", "pipeline", pipeline_track,
                                 start=stall_start, end=self.env.now,
@@ -292,9 +285,7 @@ class GStream:
                     tracer.complete("h2d", "gpu.device", h2d_track,
                                     start=window[0], end=window[1],
                                     nbytes=blk.nbytes, block=blk.index)
-                    h2d_bytes_ctr.inc(blk.nbytes)
-                    monitor.count("gpu.pcie.bytes", blk.nbytes,
-                                  device=device.name)
+                    pcie_bytes_ctr.inc(blk.nbytes)
                 if host_stream is not None:
                     host_stream.ack_nbytes(
                         work.host_stream_slot,
@@ -356,8 +347,6 @@ class GStream:
                                     stage=idx)
                     reg.counter("gpu.kernel.seconds", device=device.name,
                                 kernel=st.execute_name).inc(ksec)
-                    monitor.count("gstream.engine_busy_s", ksec,
-                                  device=device.name)
                     # Retire this stage's input: spilled intermediates give
                     # their region room back, temporaries are freed, cached
                     # buffers stay resident.
@@ -394,8 +383,7 @@ class GStream:
                 tracer.complete("d2h", "gpu.device", d2h_track,
                                 start=window[0], end=window[1],
                                 nbytes=nbytes, block=blk.index)
-                d2h_bytes_ctr.inc(nbytes)
-                monitor.count("gpu.pcie.bytes", nbytes, device=device.name)
+                pcie_bytes_ctr.inc(nbytes)
                 if out_spill is not None and spill_region is not None:
                     spill_region.remove(out_spill)
                 elif out_temp:
@@ -511,8 +499,6 @@ class GStream:
                 obs.registry.counter(
                     "gpu.kernel.seconds", device=device.name,
                     kernel=work.execute_name).inc(kernel_s)
-                obs.monitor.count("gstream.engine_busy_s", kernel_s,
-                                  device=device.name)
                 device.kernel_seconds += kernel_s
                 device.kernels_launched += 1
                 device.h2d_bytes += blk.nbytes

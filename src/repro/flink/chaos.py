@@ -472,8 +472,6 @@ class ChaosEngine:
                 return  # schedule fully applied, every death declared
             yield self.env.timeout(interval)
             now = self.env.now
-            monitor = self.cluster.obs.monitor
-            monitor.tick()
             for name in self._undetected():
                 worker = self.cluster.workers[name]
                 # ``or now`` would misread a kill at exactly t=0.0 (falsy)
@@ -482,7 +480,8 @@ class ChaosEngine:
                     if worker.failed_at is not None else now
                 # Every tick a dead worker stays undeclared is one missed
                 # heartbeat — the worker_unhealthy alert's feed.
-                monitor.heartbeat_missed(name)
+                self.cluster.obs.registry.counter(
+                    "worker.heartbeat.missed", worker=name).inc()
                 if now - failed_at >= timeout:
                     self.declared[name] = now
                     self.cluster.declare_worker_dead(name)

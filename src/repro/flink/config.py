@@ -122,17 +122,15 @@ class FlinkConfig:
     # events, so the simulated clock is identical either way.
     enable_tracing: bool = False
 
-    # Online monitoring (repro.obs.monitor, docs/OBSERVABILITY.md): sample
-    # metrics into windows of simulated time, track SLOs/error budgets,
-    # evaluate alert rules and score health while the job runs.  Off by
-    # default (tests); `repro monitor` turns it on.  The monitor is fed
-    # synchronously from instrumented call sites and never schedules
+    # Online monitoring (repro.obs.monitor, docs/OBSERVABILITY.md): derive
+    # windows of simulated time from metrics-registry writes, track
+    # SLOs/error budgets, evaluate alert rules and score health while the
+    # job runs.  Off by default (tests); `repro monitor` turns it on.  The
+    # monitor is fed synchronously by registry writes and never schedules
     # simulation events, so the simulated clock is identical either way.
     enable_monitoring: bool = False
-    # Width of one sampling window, in simulated seconds.
+    # Width of one monitor window, in simulated seconds.
     monitor_window_s: float = 1.0
-    # Windows retained per series (older points are dropped).
-    monitor_retention_windows: int = 720
 
     # Flight recorder (repro.obs.flightrecorder): retain a bounded ring of
     # recent spans + closed metric windows and dump a post-mortem bundle
@@ -142,11 +140,6 @@ class FlinkConfig:
     enable_flight_recorder: bool = False
     # Directory bundles are written to (None keeps them in memory only).
     flight_recorder_dir: Optional[str] = None
-    # Ring capacities and the bundle cap (a runaway alert storm must not
-    # fill the disk).
-    flight_recorder_spans: int = 512
-    flight_recorder_windows: int = 512
-    flight_recorder_max_bundles: int = 16
 
     # Execution architecture (docs/STREAMING_EXECUTOR.md).  "staged" runs
     # one operator wave at a time with a full barrier between operators;
@@ -178,12 +171,6 @@ class FlinkConfig:
             raise ConfigError("pipeline_queue_blocks must be >= 1")
         if self.monitor_window_s <= 0:
             raise ConfigError("monitor_window_s must be positive")
-        if self.monitor_retention_windows < 1:
-            raise ConfigError("monitor_retention_windows must be >= 1")
-        if self.flight_recorder_spans < 1 or \
-                self.flight_recorder_windows < 1 or \
-                self.flight_recorder_max_bundles < 1:
-            raise ConfigError("flight recorder capacities must be >= 1")
         if self.pipeline_block_nbytes <= 0:
             raise ConfigError("pipeline_block_nbytes must be positive")
         if self.shuffle_block_header_s < 0:

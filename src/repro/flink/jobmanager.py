@@ -172,8 +172,8 @@ class TaskContext:
         stalled = self.env.now - t0
         stream.stall_seconds += stalled
         self.metrics.pipeline_backpressure_s += stalled
-        obs.monitor.count("pipeline.backpressure.stall_s", stalled,
-                          op=self.op_name)
+        obs.registry.counter("pipeline.backpressure.stall_s",
+                             op=self.op_name).inc(stalled)
 
     def charge_compute(self, nominal_elements: float,
                        flops_per_element: float,
@@ -246,9 +246,6 @@ class TaskContext:
                 stream.ack(self.in_slot, k + 1)
                 if out is not None:
                     out.publish(k)
-                # Drive the monitor's lazy window clock from the hottest
-                # streaming loop (no-op when monitoring is off).
-                self.cluster.obs.monitor.tick()
             if out is not None:
                 out.close()
             return
@@ -283,7 +280,6 @@ class JobManager:
         hdfs_read0 = self.cluster.hdfs.total_bytes_read()
         hdfs_write0 = self.cluster.hdfs.total_bytes_written()
         obs = self.cluster.obs
-        obs.monitor.tick()
         tracer = obs.tracer
         jm_track = tracer.track(self.cluster.master_name, "jobmanager")
 
@@ -303,7 +299,7 @@ class JobManager:
             # and departed ones stop being considered.
             scheduler = Scheduler(self.cluster.member_names, tracer=tracer,
                                   health=self.cluster.worker_is_schedulable,
-                                  monitor=obs.monitor)
+                                  registry=obs.registry)
 
             from repro.flink.pipeline import PipelinedExecutor
             yield from PipelinedExecutor(self, graph, scheduler, metrics,
@@ -328,7 +324,6 @@ class JobManager:
             reg.counter("shuffle.spill.bytes", job=job_name).inc(
                 metrics.shuffle_spill_bytes)
         reg.histogram("job.makespan_s").observe(metrics.makespan)
-        obs.monitor.job_completed(job_name, metrics.makespan)
         return metrics
 
     # -- per-subtask execution ---------------------------------------------------
@@ -370,8 +365,8 @@ class JobManager:
                                      attempt=vertex.attempts) as sp:
                         overhead = flink.task_schedule_s + flink.task_deploy_s
                         metrics.schedule_s += overhead
-                        obs.monitor.observe("sched.place_latency_s",
-                                            overhead, op=op.name)
+                        obs.registry.histogram("sched.place_latency_s",
+                                               op=op.name).observe(overhead)
                         yield self.env.timeout(overhead)
                         ctx = TaskContext(self.cluster, vertex, metrics,
                                           n_subtasks,
@@ -413,7 +408,8 @@ class JobManager:
                             failure = exc
                 if failure is None:
                     worker.taskmanager.tasks_executed += 1
-                    obs.monitor.task_attempt(op.name, ok=True)
+                    obs.registry.counter("task.completed",
+                                         op=op.name).inc()
                     if vertex.attempts:
                         self.cluster.note_recovery_action("retry-ok")
                     return partition
@@ -436,7 +432,6 @@ class JobManager:
                 cause="worker-lost" if worker_lost
                 else type(failure).__name__)
             obs.registry.counter("task.retries", op=op.name).inc()
-            obs.monitor.task_attempt(op.name, ok=False)
             if vertex.attempts > flink.max_task_retries:
                 raise JobExecutionError(
                     f"{op.name}[{vertex.subtask_index}] failed "

@@ -451,23 +451,13 @@ class PipelinedExecutor:
         streams = [s for s in self._streams.get(op.uid, []) if s is not None]
         if not streams:
             return
-        reg = self.obs.registry
         max_depth = max(s.max_depth for s in streams)
-        reg.counter("pipeline.queue.max_depth", op=op.name).inc(max_depth)
-        stalls = sum(s.stall_count for s in streams)
-        if stalls:
-            reg.counter("pipeline.backpressure.blocks", op=op.name).inc(
-                stalls)
+        self.obs.registry.gauge("pipeline.queue.max_depth",
+                                op=op.name).set(max_depth)
         starved = sum(s.starved_count for s in streams)
         self.metrics.pipeline_max_queue_depth = max(
             self.metrics.pipeline_max_queue_depth, max_depth)
         self.metrics.pipeline_h2d_starved += starved
-        monitor = self.obs.monitor
-        if monitor.enabled:
-            # Distinct name from the registry's pipeline.queue.max_depth
-            # counter: that one is sampled into the store as a counter
-            # series, this is the live per-close gauge.
-            monitor.gauge("pipeline.queue.depth", max_depth, op=op.name)
 
     # -- operator modes ----------------------------------------------------------
     def _start_source(self, op: HdfsSource, jv: ExecutionJobVertex) -> list:

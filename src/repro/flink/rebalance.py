@@ -102,7 +102,6 @@ class Rebalancer:
         reg = cluster.obs.registry
         reg.counter("rebalance.partitions", dst=target).inc()
         reg.counter("rebalance.bytes", dst=target).inc(nbytes)
-        cluster.obs.monitor.count("rebalance.partitions", dst=target)
 
     # -- membership-event flows ----------------------------------------------------
     def rebalance_onto(self, joiner: str) -> Generator[Event, None, int]:

@@ -60,15 +60,12 @@ class Cluster:
             self.env, enabled=flink.enable_tracing,
             monitoring=flink.enable_monitoring,
             monitor_window_s=flink.monitor_window_s,
-            monitor_retention=flink.monitor_retention_windows,
             flight_recorder=flink.enable_flight_recorder,
-            flight_recorder_dir=flink.flight_recorder_dir,
-            flight_recorder_spans=flink.flight_recorder_spans,
-            flight_recorder_windows=flink.flight_recorder_windows,
-            flight_recorder_max_bundles=flink.flight_recorder_max_bundles)
+            flight_recorder_dir=flink.flight_recorder_dir)
         names = self.config.worker_names()
-        for name in names:
-            self.obs.monitor.register_worker(name)
+        if self.obs.monitor is not None:
+            for name in names:
+                self.obs.monitor.register_worker(name)
         self.network = Network(self.env, [self.master_name] + names,
                                self.config.network)
         self.hdfs = HDFS(self.env, names, self.network,
@@ -164,10 +161,10 @@ class Cluster:
         self.hdfs.add_datanode(name)
         self.workers[name] = self._make_worker(name)
         self._members.append(name)
-        self.obs.monitor.register_worker(name)
+        if self.obs.monitor is not None:
+            self.obs.monitor.register_worker(name)
         self._churn_instant("churn.join", name)
         self.obs.registry.counter("churn.joins", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="join")
         if any(self.materialized.values()):
             from repro.flink.rebalance import Rebalancer
             self.env.process(Rebalancer(self).rebalance_onto(name),
@@ -195,7 +192,6 @@ class Cluster:
         started = self.env.now
         self._churn_instant("churn.drain.start", name)
         self.obs.registry.counter("churn.drains", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="drain")
         yield worker.taskmanager.quiesced()
         if not worker.alive:
             return  # killed mid-drain: the failure path owns recovery
@@ -233,7 +229,6 @@ class Cluster:
         self._members.remove(name)
         self._churn_instant("churn.leave", name)
         self.obs.registry.counter("churn.leaves", worker=name).inc()
-        self.obs.monitor.count("churn.events", event="leave")
         self.fail_worker(name)
 
     def note_recovery_action(self, kind: str) -> None:
@@ -288,7 +283,6 @@ class Cluster:
                        tracer.track(self.master_name, "failures"),
                        worker=name)
         self.obs.registry.counter("worker.failures", worker=name).inc()
-        self.obs.monitor.worker_down(name)
         if self.chaos is None:
             self.declare_worker_dead(name)
         else:
@@ -308,7 +302,6 @@ class Cluster:
                        tracer.track(self.master_name, "failures"),
                        worker=name)
         self.obs.registry.counter("worker.declared_dead", worker=name).inc()
-        self.obs.monitor.worker_declared_dead(name)
         self.note_recovery_action("declare")
         waiter = self._declare_waiters.pop(name, None)
         if waiter is not None and not waiter.triggered:

@@ -37,7 +37,7 @@ class Scheduler:
 
     def __init__(self, worker_names, tracer=None,
                  health: Optional[Callable[[str], bool]] = None,
-                 monitor=None):
+                 registry=None):
         # Either a static name list or a live-membership callable
         # (Cluster.member_names): elastic joiners become placement
         # candidates the moment they register, mid-job included.
@@ -53,9 +53,9 @@ class Scheduler:
         # Health predicate (Cluster.worker_is_schedulable); None = all
         # healthy.  Dead *and draining* workers take no new placements.
         self._health = health
-        # Optional repro.obs.monitor.GMonitor: per-worker queue depth and
-        # placement counts become live series.
-        self.monitor = monitor
+        # Optional repro.obs.metrics.MetricsRegistry: placement counts and
+        # per-worker queue depth.
+        self.registry = registry
         # Fault recency per worker (monotone sequence numbers): the
         # deterministic tie-breaker when every healthy worker is in a
         # reschedule's avoid set.
@@ -70,13 +70,6 @@ class Scheduler:
             if w not in self._load:
                 self._load[w] = 0
         return names
-
-    def _feed_monitor(self, worker: str, reason: str) -> None:
-        if self.monitor is None or not self.monitor.enabled:
-            return
-        self.monitor.count("sched.placements", 1, reason=reason)
-        self.monitor.gauge("sched.queue_depth", self._load[worker],
-                           worker=worker)
 
     # -- helpers ---------------------------------------------------------------
     def _is_healthy(self, worker: str) -> bool:
@@ -110,7 +103,10 @@ class Scheduler:
 
     def _trace_place(self, op_name: str, subtask: int, worker: str,
                      reason: str) -> None:
-        self._feed_monitor(worker, reason)
+        if self.registry is not None:
+            self.registry.counter("sched.placements", reason=reason).inc()
+            self.registry.gauge("sched.queue_depth", worker=worker).set(
+                self._load[worker])
         if self.tracer is None or not self.tracer.enabled:
             return
         self.tracer.instant(

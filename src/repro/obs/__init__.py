@@ -9,7 +9,10 @@ that story per run instead of per aggregate:
   sim-clock timestamps, organized into per-worker / per-device /
   per-copy-engine tracks so transfer/compute overlap is visible.
 * :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters, gauges
-  and histograms the runtime's ad-hoc counters feed into.
+  and histograms: the one numeric sink.  Each fact is written once, here.
+* :class:`~repro.obs.monitor.GMonitor` — the online monitor, a subscriber
+  of the registry: every window, SLO and health score is derived from
+  registry writes, charged to the window of their simulated time.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (open in Perfetto) and
   flat metrics JSON, plus a dependency-free schema validator.
 * :mod:`repro.obs.profile` — GProfiler: critical-path extraction,
@@ -18,15 +21,17 @@ that story per run instead of per aggregate:
   exported trace file.
 
 Wiring: every :class:`~repro.flink.runtime.Cluster` owns an
-:class:`Observability` (tracer + registry), switched by
-``FlinkConfig.enable_tracing`` — off by default (tests), on in benchmarks.
-Tracing never schedules simulation events, so the simulated clock is
-bit-identical with tracing on or off.  See ``docs/OBSERVABILITY.md``.
+:class:`Observability` (tracer + registry, plus monitor and flight
+recorder), switched by ``FlinkConfig.enable_tracing`` /
+``enable_monitoring`` / ``enable_flight_recorder`` — off by default
+(tests), on in benchmarks.  None of them schedules simulation events, so
+the simulated clock is bit-identical with them on or off.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from repro.obs.explain import (
     explain_summaries,
@@ -34,13 +39,16 @@ from repro.obs.explain import (
     validate_explanation,
 )
 from repro.obs.flightrecorder import (
+    MAX_BUNDLES,
+    SPAN_CAPACITY,
+    WINDOW_CAPACITY,
     FlightRecorder,
     render_bundle,
     validate_postmortem_bundle,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.monitor import (
-    NULL_MONITOR,
+    RETENTION_WINDOWS,
     AlertRule,
     GMonitor,
     SLObjective,
@@ -62,14 +70,17 @@ __all__ = [
     "GMonitor",
     "Gauge",
     "Histogram",
+    "MAX_BUNDLES",
     "MetricsRegistry",
-    "NULL_MONITOR",
     "Observability",
     "ProfileTrace",
+    "RETENTION_WINDOWS",
     "SLObjective",
+    "SPAN_CAPACITY",
     "TraceEvent",
     "Tracer",
     "Track",
+    "WINDOW_CAPACITY",
     "compare_summaries",
     "explain_summaries",
     "profile_file",
@@ -87,39 +98,29 @@ class Observability:
     """One cluster's tracer + registry + monitor, passed through the stack.
 
     ``enabled`` switches tracing; ``monitoring`` additionally attaches a
-    live :class:`~repro.obs.monitor.GMonitor` (which needs the registry,
-    so monitoring alone also enables it).  When monitoring is off the
-    shared :data:`~repro.obs.monitor.NULL_MONITOR` is handed out — call
-    sites stay unconditional and allocate nothing.
+    live :class:`~repro.obs.monitor.GMonitor` as the registry's subscriber
+    (so monitoring alone also enables the registry).  When monitoring is
+    off, :attr:`monitor` is None and registry writes go nowhere else.
+    Capacities are the module constants :data:`RETENTION_WINDOWS`,
+    :data:`SPAN_CAPACITY`, :data:`WINDOW_CAPACITY` and :data:`MAX_BUNDLES`.
     """
 
     def __init__(self, env: Any, enabled: bool = False,
                  monitoring: bool = False, monitor_window_s: float = 1.0,
-                 monitor_retention: int = 720,
                  flight_recorder: bool = False,
-                 flight_recorder_dir: Any = None,
-                 flight_recorder_spans: int = 512,
-                 flight_recorder_windows: int = 512,
-                 flight_recorder_max_bundles: int = 16):
+                 flight_recorder_dir: Any = None):
         self.tracer = Tracer(env, enabled=enabled)
         self.registry = MetricsRegistry(enabled=enabled or monitoring)
         # The recorder is passive (bounded deques + dump-time file I/O):
         # it works with monitoring (alert-triggered bundles with metric
         # windows) or with bare chaos runs (fault-triggered bundles).
         self.recorder = (FlightRecorder(
-            env, tracer=self.tracer, dirpath=flight_recorder_dir,
-            span_capacity=flight_recorder_spans,
-            window_capacity=flight_recorder_windows,
-            max_bundles=flight_recorder_max_bundles)
+            env, tracer=self.tracer, dirpath=flight_recorder_dir)
             if flight_recorder else None)
-        if monitoring:
-            self.monitor = GMonitor(env, tracer=self.tracer,
-                                    registry=self.registry,
-                                    window_s=monitor_window_s,
-                                    retention=monitor_retention,
-                                    recorder=self.recorder)
-        else:
-            self.monitor = NULL_MONITOR
+        self.monitor: Optional[GMonitor] = (
+            GMonitor(env, tracer=self.tracer, registry=self.registry,
+                     window_s=monitor_window_s, recorder=self.recorder)
+            if monitoring else None)
 
     @property
     def enabled(self) -> bool:

@@ -245,7 +245,7 @@ def _utilization_heatmap(doc: Dict[str, Any]) -> str:
     window_s = float(doc.get("window_s", 1.0))
     per_device: Dict[str, Dict[int, float]] = {}
     for s in doc.get("series", []):
-        if s["name"] != "gstream.engine_busy_s":
+        if s["name"] != "gpu.kernel.seconds":
             continue
         device = s["labels"].get("device", "?")
         cells = per_device.setdefault(device, {})

@@ -27,6 +27,13 @@ POSTMORTEM_SCHEMA = "repro.obs.postmortem/v1"
 
 _SLUG_RE = re.compile(r"[^a-zA-Z0-9_.-]+")
 
+#: Spans retained for a bundle's trace slice.
+SPAN_CAPACITY = 512
+#: Closed metric windows retained for a bundle.
+WINDOW_CAPACITY = 512
+#: Bundles written per run (a runaway alert storm must not fill the disk).
+MAX_BUNDLES = 16
+
 
 def _slug(text: str) -> str:
     return _SLUG_RE.sub("-", text).strip("-") or "event"
@@ -41,9 +48,9 @@ class FlightRecorder:
 
     def __init__(self, env: Any, tracer=None,
                  dirpath: Optional[str] = None,
-                 span_capacity: int = 512,
-                 window_capacity: int = 512,
-                 max_bundles: int = 16):
+                 span_capacity: int = SPAN_CAPACITY,
+                 window_capacity: int = WINDOW_CAPACITY,
+                 max_bundles: int = MAX_BUNDLES):
         if span_capacity < 1 or window_capacity < 1 or max_bundles < 1:
             raise ValueError("flight recorder capacities must be >= 1")
         self._env = env
@@ -96,8 +103,10 @@ class FlightRecorder:
             "worker": event.worker, "device": event.device,
         }
         monitor = cluster.obs.monitor
+        if monitor is not None:
+            monitor.close_elapsed()  # the bundle shows every past window
         return self.dump(f"fault:{event.kind.value}", detail=detail,
-                         monitor=monitor if monitor.enabled else None)
+                         monitor=monitor)
 
     # -- the bundle --------------------------------------------------------------
 
@@ -134,7 +143,7 @@ class FlightRecorder:
             "health": {}, "alerts": [], "slos": [], "trends": {},
             "explain": self._explain,
         }
-        if monitor is not None and getattr(monitor, "enabled", False):
+        if monitor is not None:
             doc["health"] = monitor.health.summary()
             doc["alerts"] = monitor.alerts.summary()
             doc["slos"] = monitor.slo.summary()

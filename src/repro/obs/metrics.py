@@ -9,12 +9,18 @@ snapshot time — the Prometheus collector pattern.
 
 Metric identity is ``(name, sorted labels)``; the flat rendering is
 ``name{k=v,...}`` so snapshots diff cleanly across runs.
+
+The registry is the only numeric sink.  It has one subscriber slot
+(:meth:`MetricsRegistry.subscribe`): when monitoring is on,
+:class:`~repro.obs.monitor.GMonitor` takes it, and every ``inc`` / ``set``
+/ ``observe`` is handed to the monitor as it happens, so each window is
+derived from the writes made inside it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -22,6 +28,8 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "metric_key",
            "parse_prometheus", "prometheus_name"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
+#: A registry subscriber: called with ``(metric, value)`` on every write.
+Sink = Optional[Callable[[Any, float], None]]
 
 
 def metric_key(name: str, labels: Dict[str, Any]) -> Tuple[str, LabelItems]:
@@ -40,20 +48,23 @@ def render_key(name: str, labels: LabelItems) -> str:
 class Counter:
     """A monotonically increasing total."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "sink")
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: LabelItems):
+    def __init__(self, name: str, labels: LabelItems, sink: Sink = None):
         self.name = name
         self.labels = labels
         self.value = 0.0
+        self.sink = sink
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ConfigError(
                 f"counter {self.name} cannot decrease (inc {amount})")
         self.value += amount
+        if self.sink is not None:
+            self.sink(self, amount)
 
     def snapshot_value(self) -> float:
         return self.value
@@ -62,17 +73,20 @@ class Counter:
 class Gauge:
     """A point-in-time value (set, not accumulated)."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "sink")
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: LabelItems):
+    def __init__(self, name: str, labels: LabelItems, sink: Sink = None):
         self.name = name
         self.labels = labels
         self.value = 0.0
+        self.sink = sink
 
     def set(self, value: float) -> None:
         self.value = float(value)
+        if self.sink is not None:
+            self.sink(self, value)
 
     def snapshot_value(self) -> float:
         return self.value
@@ -86,14 +100,15 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "count", "total", "sumsq", "vmin",
-                 "vmax", "bounds", "bucket_counts")
+                 "vmax", "bounds", "bucket_counts", "sink")
 
     kind = "histogram"
 
     DEFAULT_BOUNDS = (1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1000.0)
 
     def __init__(self, name: str, labels: LabelItems,
-                 bounds: Optional[Tuple[float, ...]] = None):
+                 bounds: Optional[Tuple[float, ...]] = None,
+                 sink: Sink = None):
         self.name = name
         self.labels = labels
         self.count = 0
@@ -103,6 +118,7 @@ class Histogram:
         self.vmax = float("-inf")
         self.bounds = tuple(bounds) if bounds else self.DEFAULT_BOUNDS
         self.bucket_counts = [0] * (len(self.bounds) + 1)
+        self.sink = sink
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -115,8 +131,11 @@ class Histogram:
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+                break
+        else:
+            self.bucket_counts[-1] += 1
+        if self.sink is not None:
+            self.sink(self, value)
 
     @property
     def mean(self) -> float:
@@ -218,6 +237,18 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
+        self._sink: Sink = None
+
+    def subscribe(self, sink: Callable[[Any, float], None]) -> None:
+        """Hand every write (``inc``/``set``/``observe``) to ``sink``.
+
+        One slot: the registry has at most one subscriber, the monitor.
+        """
+        if self._sink is not None:
+            raise ConfigError("the registry already has a subscriber")
+        self._sink = sink
+        for metric in self._metrics.values():
+            metric.sink = sink
 
     def _get_or_create(self, cls, name: str, labels: Dict[str, Any],
                        **kwargs: Any):
@@ -226,7 +257,7 @@ class MetricsRegistry:
         key = metric_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(key[0], key[1], **kwargs)
+            metric = cls(key[0], key[1], sink=self._sink, **kwargs)
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise ConfigError(

@@ -2,38 +2,42 @@
 
 GTrace (spans) and GProfiler (post-mortem analysis) answer *where did the
 time go* after the run ends.  This module watches the system **while the
-simulated clock advances**: it samples the live
-:class:`~repro.obs.metrics.MetricsRegistry` into fixed-width windows of
-simulated time, tracks latency/availability SLOs with error budgets and
+simulated clock advances**: it derives fixed-width windows of simulated
+time from the writes to the live :class:`~repro.obs.metrics.
+MetricsRegistry`, tracks latency/availability SLOs with error budgets and
 burn rates, evaluates alert rules (threshold / rate-of-change /
 sustained-window) with a firing→resolved lifecycle, and rolls worker /
 device / cluster health scores — the substrate for admission-control
 SLOs.
 
+One metrics path: the monitor subscribes to the registry
+(:meth:`~repro.obs.metrics.MetricsRegistry.subscribe`) and its only other
+inputs are topology (:meth:`GMonitor.register_worker` /
+:meth:`GMonitor.register_device`).  Every counter ``inc``, gauge ``set``
+and histogram ``observe`` is charged to the window holding the write's
+simulated time — attribution is exact, so a window's value never depends
+on where a window boundary happened to be noticed.  The SLOs and worker
+health derive from named registry metrics (:data:`DERIVED`).
+
 Clock discipline (the PR 2 contract, kept here): the monitor **never
-schedules simulation events**.  Windows are closed lazily — every feed
-first observes ``env.now`` and, when it has crossed a window boundary,
-closes the elapsed windows, samples the registry, evaluates alert rules
-and scores health, all synchronously inside whatever process was already
-running.  Enabled or disabled, the simulated clock is bit-identical
-(asserted by ``tests/obs/test_monitor.py``).
+schedules simulation events**.  Windows are closed lazily, synchronously
+inside whatever process was already running: a write that a rule watches
+or an SLO/health score derives from first closes the elapsed windows
+(alert rules evaluated, health scored); other writes just land in their
+window.  Since the simulated clock only moves forward, every write of a
+window has arrived before the window closes, so when a window closes
+changes only the host-side moment of an alert's trace instant or bundle,
+never a value.  Enabled or disabled, the simulated clock is
+bit-identical (asserted by ``tests/obs/test_monitor.py``).
 
 Window semantics:
 
-* **counter** series: the window value is the delta accumulated in that
-  window (missing window = 0).
+* **counter** series: the window value is the sum of the increments made
+  in that window (missing window = 0).
 * **gauge** series: last value set in the window (carried forward for
   alert evaluation).
-* **histogram** series: per-window count/sum/min/max/p50/p95/p99
-  estimated from the same bucket interpolation the registry histograms
-  use.
-
-Registry metrics are sampled at window close: counter deltas, gauge
-last-values, and histogram bucket deltas (windowed percentiles).  The
-sample is attributed to the window being closed — attribution granularity
-is therefore bounded by how often instrumented call sites tick the
-monitor, which on the hot paths (pipeline publishes, GPU stages,
-heartbeats) is every few simulated milliseconds.
+* **histogram** series: per-window count/sum/min/max/p50/p95/p99 of the
+  values observed in that window.
 
 The machine-readable summary (``repro.monitor.summary/v1``) feeds the
 dependency-free HTML dashboard (:mod:`repro.obs.dashboard`) and is
@@ -49,15 +53,22 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.obs.anomaly import SlidingTrend, trend_snapshot
-from repro.obs.metrics import Histogram, LabelItems, metric_key, render_key
+from repro.obs.metrics import (
+    Histogram,
+    LabelItems,
+    MetricsRegistry,
+    metric_key,
+    render_key,
+)
 
 __all__ = [
     "Alert",
     "AlertRule",
+    "DERIVED",
     "GMonitor",
     "HealthScorer",
     "MONITOR_SCHEMA",
-    "NULL_MONITOR",
+    "RETENTION_WINDOWS",
     "SLObjective",
     "SLOTracker",
     "Series",
@@ -66,6 +77,9 @@ __all__ = [
 ]
 
 MONITOR_SCHEMA = "repro.monitor.summary/v1"
+
+#: Windows retained per series (older points are dropped).
+RETENTION_WINDOWS = 720
 
 #: severity -> health penalty per active alert touching a worker/device
 _SEVERITY_PENALTY = {"critical": 40.0, "warning": 15.0}
@@ -80,13 +94,19 @@ class Series:
 
     Points are appended in increasing window order and trimmed to the
     store's retention.  ``kind`` follows the registry metric kinds.
+    Recording into a later window closes the open one at once; its value
+    waits in ``_pending`` until the store closes that window.  ``opened``
+    is the owning store's table of series with an open or pending
+    window, keyed by the creation ordinal ``seq``.
     """
 
-    __slots__ = ("name", "labels", "kind", "points",
-                 "_open_idx", "_open_val", "_open_hist")
+    __slots__ = ("name", "labels", "kind", "points", "_open_idx",
+                 "_open_val", "_open_hist", "_pending", "_opened", "_seq")
 
     def __init__(self, name: str, labels: LabelItems, kind: str,
-                 retention: int):
+                 retention: int,
+                 opened: Optional[Dict[int, "Series"]] = None,
+                 seq: int = 0):
         self.name = name
         self.labels = labels
         self.kind = kind
@@ -94,6 +114,9 @@ class Series:
         self._open_idx: Optional[int] = None
         self._open_val = 0.0
         self._open_hist: Optional[Histogram] = None
+        self._pending: List[Tuple[int, Any]] = []
+        self._opened = opened
+        self._seq = seq
 
     @property
     def key(self) -> str:
@@ -102,7 +125,11 @@ class Series:
     def record(self, idx: int, value: float) -> None:
         """Accumulate ``value`` into the open window ``idx``."""
         if self._open_idx != idx:
+            if self._open_idx is not None:
+                self._pending.append((self._open_idx, self._close_open()))
             self._open_idx = idx
+            if self._opened is not None:
+                self._opened[self._seq] = self
             if self.kind == "histogram":
                 self._open_hist = Histogram(self.name, self.labels)
             else:
@@ -116,9 +143,14 @@ class Series:
 
     def close(self, idx: int):
         """Close window ``idx``; return its value or None if untouched."""
+        if self._pending and self._pending[0][0] == idx:
+            return self._pending.pop(0)[1]
         if self._open_idx != idx:
             return None
-        self._open_idx = None
+        return self._close_open()
+
+    def _close_open(self):
+        idx, self._open_idx = self._open_idx, None
         if self.kind == "histogram":
             h, self._open_hist = self._open_hist, None
             value = {
@@ -132,19 +164,46 @@ class Series:
         self.points.append((idx, value))
         return value
 
-    def set_closed(self, idx: int, value) -> None:
-        """Append a point for an already-closed window (derived series)."""
-        self.points.append((idx, value))
+
+class _HealthColumn:
+    """One health series: a column of :attr:`HealthScorer.rows`.
+
+    ``part`` picks worker scores (0), device scores (1) or the cluster
+    score (2); ``col`` the entity within a part.
+    """
+
+    kind = "gauge"
+    key = Series.key
+
+    def __init__(self, name: str, labels: LabelItems, rows: deque,
+                 part: int, col: Optional[int] = None):
+        self.name = name
+        self.labels = labels
+        self._rows = rows
+        self._part = part
+        self._col = col
+
+    @property
+    def points(self) -> List[Tuple[int, float]]:
+        part, col = self._part, self._col
+        if col is None:
+            return [(idx, row[part]) for idx, row in self._rows]
+        # An entity registered mid-run has no column in earlier rows.
+        return [(idx, row[part][col]) for idx, row in self._rows
+                if col < len(row[part])]
 
 
 class TimeSeriesStore:
     """Get-or-create registry of :class:`Series` with bounded retention."""
 
-    def __init__(self, retention: int = 720):
+    def __init__(self, retention: int = RETENTION_WINDOWS):
         if retention < 1:
             raise ConfigError(f"retention must be >= 1, got {retention}")
         self.retention = retention
-        self._series: Dict[Tuple[str, LabelItems], Series] = {}
+        self._series: Dict[Tuple[str, LabelItems], Any] = {}
+        # Series with an open window, by creation ordinal: closing a
+        # window visits only these, in creation order.
+        self._open: Dict[int, Series] = {}
 
     def series(self, name: str, kind: str, **labels: Any) -> Series:
         return self.series_items(name, kind, metric_key(name, labels)[1])
@@ -157,13 +216,18 @@ class TimeSeriesStore:
         key = (name, labels)
         s = self._series.get(key)
         if s is None:
-            s = Series(name, labels, kind, self.retention)
+            s = Series(name, labels, kind, self.retention,
+                       opened=self._open, seq=len(self._series))
             self._series[key] = s
         elif s.kind != kind:
             raise ConfigError(
                 f"series {render_key(*key)} already registered as "
                 f"{s.kind}, requested {kind}")
         return s
+
+    def add(self, series: Any) -> None:
+        """Register a derived, never-open series (a health column)."""
+        self._series[(series.name, series.labels)] = series
 
     def family(self, name: str) -> List[Series]:
         """All series sharing ``name``, sorted by labels."""
@@ -177,12 +241,16 @@ class TimeSeriesStore:
         return len(self._series)
 
     def close_window(self, idx: int) -> List[Tuple[Series, Any]]:
-        """Close window ``idx`` on every open series; return the values."""
+        """Close window ``idx`` on every open series; return the values
+        in series-creation order."""
         closed = []
-        for s in self._series.values():
+        for seq in sorted(self._open):
+            s = self._open[seq]
             v = s.close(idx)
             if v is not None:
                 closed.append((s, v))
+            if s._open_idx is None and not s._pending:
+                del self._open[seq]
         return closed
 
 
@@ -275,16 +343,18 @@ class SLOTracker:
         if bad:
             self._store.series("slo.bad", "counter", slo=name).record(idx, 1)
 
-    def observe_event(self, idx: int, name: str, ok: bool) -> None:
+    def observe_event(self, idx: int, name: str, ok: bool,
+                      n: int = 1) -> None:
+        """Record ``n`` ok (or failed) events of an availability SLO."""
         state = self._states.get(name)
         if state is None or state.slo.kind != "availability":
             return
-        state.events += 1
+        state.events += n
         if not ok:
-            state.bad += 1
-        self._store.series("slo.events", "counter", slo=name).record(idx, 1)
+            state.bad += n
+        self._store.series("slo.events", "counter", slo=name).record(idx, n)
         if not ok:
-            self._store.series("slo.bad", "counter", slo=name).record(idx, 1)
+            self._store.series("slo.bad", "counter", slo=name).record(idx, n)
 
     def burn_rate(self, name: str) -> float:
         state = self._states[name]
@@ -436,10 +506,13 @@ class AlertEngine:
     def __init__(self, tracer=None):
         self._tracer = tracer
         self.rules: List[AlertRule] = []
+        # Rule indices by the series name they watch.
+        self._rules_for: Dict[str, List[int]] = {}
         self._states: Dict[Tuple[int, str], _RuleState] = {}
         self.history: List[Alert] = []
 
     def add_rule(self, rule: AlertRule) -> AlertRule:
+        self._rules_for.setdefault(rule.series, []).append(len(self.rules))
         self.rules.append(rule)
         return rule
 
@@ -459,14 +532,19 @@ class AlertEngine:
         dumps); lifecycle state lives in :attr:`history` as before.
         """
         fired: List[Alert] = []
+        if not closed and not self._states:
+            return fired
         closed_by_series = {id(s): v for s, v in closed}
-        # Discover series newly matching a rule.
-        for ri, rule in enumerate(self.rules):
-            for s, _v in closed:
-                if rule.matches(s):
-                    k = (ri, s.key)
-                    if k not in self._states:
-                        self._states[k] = _RuleState(s, rule)
+        # Discover series newly matching a rule, in (rule, series) order.
+        new = []
+        for pos, (s, _v) in enumerate(closed):
+            for ri in self._rules_for.get(s.name, ()):
+                if (self.rules[ri].matches(s)
+                        and (ri, s.key) not in self._states):
+                    new.append((ri, pos))
+        for ri, pos in sorted(new):
+            s = closed[pos][0]
+            self._states[(ri, s.key)] = _RuleState(s, self.rules[ri])
         for (ri, _skey), state in self._states.items():
             rule = self.rules[ri]
             raw = closed_by_series.get(id(state.series))
@@ -553,21 +631,34 @@ class HealthScorer:
         self.workers: List[str] = []
         self.devices: List[str] = []
         self.down: set = set()
-        self.latest: Dict[str, float] = {}
+        #: One ``(idx, (worker scores, device scores, cluster))`` row per
+        #: closed window; the health series are its columns.
+        self.rows: deque = deque(maxlen=store.retention)
+        self._row: Optional[Tuple[tuple, tuple, float]] = None
+        # Rescore at the next window: topology or liveness changed, or
+        # alerts were active (they may resolve).
+        self._stale = True
+        # (workers, devices) that have a series; None before the first
+        # scoring adds the cluster series.
+        self._columns: Optional[Tuple[int, int]] = None
 
     def register_worker(self, name: str) -> None:
         if name not in self.workers:
             self.workers.append(name)
+            self._stale = True
 
     def register_device(self, name: str) -> None:
         if name not in self.devices:
             self.devices.append(name)
+            self._stale = True
 
     def worker_down(self, name: str) -> None:
         self.down.add(name)
+        self._stale = True
 
     def worker_recovered(self, name: str) -> None:
         self.down.discard(name)
+        self._stale = True
 
     @staticmethod
     def _touches(alert: Alert, worker: Optional[str] = None,
@@ -589,30 +680,42 @@ class HealthScorer:
 
     def score_window(self, idx: int, engine: AlertEngine) -> None:
         active = engine.active_alerts()
-        worker_scores = []
-        for w in self.workers:
-            s = 0.0 if w in self.down else self._score(active, worker=w)
-            self.latest[f"worker:{w}"] = s
-            self._store.series("health.worker", "gauge",
-                               worker=w).set_closed(idx, s)
-            worker_scores.append(s)
-        for d in self.devices:
-            s = self._score(active, device=d)
-            self.latest[f"device:{d}"] = s
-            self._store.series("health.device", "gauge",
-                               device=d).set_closed(idx, s)
-        cluster = (sum(worker_scores) / len(worker_scores)
-                   if worker_scores else 100.0)
-        self.latest["cluster"] = cluster
-        self._store.series("health.cluster", "gauge").set_closed(idx, cluster)
+        if active or self._stale:
+            workers = tuple(
+                0.0 if w in self.down else self._score(active, worker=w)
+                for w in self.workers)
+            devices = tuple(self._score(active, device=d)
+                            for d in self.devices)
+            cluster = sum(workers) / len(workers) if workers else 100.0
+            self._row = (workers, devices, cluster)
+            self._stale = bool(active)
+            self._add_columns()
+        self.rows.append((idx, self._row))
+
+    def _add_columns(self) -> None:
+        """Give every newly scored entity its series in the store."""
+        if self._columns is None:
+            self._store.add(_HealthColumn("health.cluster", (), self.rows, 2))
+            self._columns = (0, 0)
+        n_workers, n_devices = self._columns
+        for k in range(n_workers, len(self.workers)):
+            self._store.add(_HealthColumn(
+                "health.worker", (("worker", self.workers[k]),),
+                self.rows, 0, k))
+        for k in range(n_devices, len(self.devices)):
+            self._store.add(_HealthColumn(
+                "health.device", (("device", self.devices[k]),),
+                self.rows, 1, k))
+        self._columns = (len(self.workers), len(self.devices))
 
     def summary(self) -> Dict[str, Any]:
+        workers, devices, cluster = self._row or ((), (), 100.0)
         return {
-            "cluster": self.latest.get("cluster", 100.0),
-            "workers": {w: self.latest.get(f"worker:{w}", 100.0)
-                        for w in self.workers},
-            "devices": {d: self.latest.get(f"device:{d}", 100.0)
-                        for d in self.devices},
+            "cluster": cluster,
+            "workers": {w: workers[k] if k < len(workers) else 100.0
+                        for k, w in enumerate(self.workers)},
+            "devices": {d: devices[k] if k < len(devices) else 100.0
+                        for k, d in enumerate(self.devices)},
         }
 
 
@@ -620,17 +723,31 @@ class HealthScorer:
 # The monitor facade
 # ---------------------------------------------------------------------------
 
+#: Registry metrics the SLOs and worker health derive from: metric name ->
+#: ``hook(monitor, metric, value)``, called after the write is recorded.
+DERIVED = {
+    # Job makespans feed the job_latency SLO.
+    "job.makespan_s": lambda mon, m, v: mon.slo.observe_latency(
+        mon._cur, "job_latency", v),
+    # Successful and failed task attempts feed task_availability.
+    "task.completed": lambda mon, m, v: mon.slo.observe_event(
+        mon._cur, "task_availability", True, int(v)),
+    "task.retries": lambda mon, m, v: mon.slo.observe_event(
+        mon._cur, "task_availability", False, int(v)),
+    # A worker failure marks the worker down in health scoring.
+    "worker.failures": lambda mon, m, v: mon.health.worker_down(
+        dict(m.labels)["worker"]),
+}
+
+
 class GMonitor:
     """The online telemetry plane: store + SLOs + alerts + health.
 
-    Driven entirely by feeds from instrumented call sites — it owns no
-    simulation process and never schedules events.  Every feed starts
-    with a :meth:`tick`: when ``env.now`` has crossed into a new window,
-    all elapsed windows are closed (registry sampled, alerts evaluated,
-    health scored) before the new observation is recorded.
+    Driven entirely by writes to ``registry`` (a private one when None) —
+    it owns no simulation process and never schedules events.  Each write
+    lands in the window of its simulated time; see the module docstring
+    for when elapsed windows close.
     """
-
-    enabled = True
 
     DEFAULT_RULES = (
         AlertRule(name="worker_unhealthy", series="worker.heartbeat.missed",
@@ -642,13 +759,13 @@ class GMonitor:
                   resolve_after=3, severity="warning"),
     )
 
-    def __init__(self, env: Any, tracer=None, registry=None,
-                 window_s: float = 1.0, retention: int = 720,
+    def __init__(self, env: Any, tracer=None,
+                 registry: Optional[MetricsRegistry] = None,
+                 window_s: float = 1.0, retention: int = RETENTION_WINDOWS,
                  recorder=None):
         if window_s <= 0:
             raise ConfigError(f"window_s must be positive, got {window_s}")
         self._env = env
-        self._registry = registry
         #: Optional FlightRecorder: fed every closed window, dumps a
         #: post-mortem bundle per fired alert.  Never schedules events.
         self.recorder = recorder
@@ -659,8 +776,6 @@ class GMonitor:
         self.health = HealthScorer(self.store)
         self._cur = int(env.now / window_s) if env is not None else 0
         self._windows_closed = 0
-        self._last_counters: Dict[Tuple[str, LabelItems], float] = {}
-        self._last_hist: Dict[Tuple[str, LabelItems], Any] = {}
         self._finalized = False
         for rule in self.DEFAULT_RULES:
             self.alerts.add_rule(rule)
@@ -668,22 +783,36 @@ class GMonitor:
                                  target=None, percentile=0.99))
         self.slo.add(SLObjective(name="task_availability",
                                  kind="availability", target=0.999))
+        self.registry = (registry if registry is not None
+                         else MetricsRegistry())
+        self.registry.subscribe(self._record)
 
     # -- window machinery --------------------------------------------------------
 
-    def _widx(self, t: float) -> int:
-        return int(t / self.window_s)
+    def _record(self, metric: Any, value: float) -> None:
+        """Registry write hook: charge ``value`` to its window."""
+        if self._finalized:
+            return
+        derive = DERIVED.get(metric.name)
+        # Windows that hold nothing a rule watches close with a later
+        # write: their values are the same either way, and a write-heavy
+        # stretch with no rule state (an HDFS load) stays cheap.
+        if (derive is not None or self.alerts._states
+                or metric.name in self.alerts._rules_for):
+            self.close_elapsed()
+        self.store.series_items(metric.name, metric.kind,
+                                metric.labels).record(
+            int(self._env.now / self.window_s), value)
+        if derive is not None:
+            derive(self, metric, value)
 
-    def tick(self) -> None:
-        """Close any windows the simulated clock has moved past."""
-        w = self._widx(self._env.now)
+    def close_elapsed(self) -> None:
+        """Close every window the simulated clock has moved past."""
+        w = int(self._env.now / self.window_s)
         if w > self._cur:
             self._advance(w)
 
     def _advance(self, target: int) -> None:
-        # Registry deltas accrued since the last boundary belong to the
-        # window being closed first (sampled-at-close attribution).
-        self._sample_registry(self._cur)
         while self._cur < target:
             idx = self._cur
             t_end = (idx + 1) * self.window_s
@@ -698,101 +827,15 @@ class GMonitor:
             self._windows_closed += 1
             self._cur += 1
 
-    def _sample_registry(self, idx: int) -> None:
-        if self._registry is None or not self._registry.enabled:
-            return
-        for m in list(self._registry._metrics.values()):
-            key = (m.name, m.labels)
-            kind = m.kind
-            if kind == "counter":
-                last = self._last_counters.get(key, 0.0)
-                delta = m.value - last
-                if delta:
-                    self._last_counters[key] = m.value
-                    self.store.series_items(
-                        m.name, "counter", m.labels).record(idx, delta)
-            elif kind == "gauge":
-                self.store.series_items(
-                    m.name, "gauge", m.labels).record(idx, m.value)
-            elif kind == "histogram":
-                self._sample_histogram(idx, key, m)
-
-    def _sample_histogram(self, idx: int, key, m) -> None:
-        last_count, last_total, last_buckets = self._last_hist.get(
-            key, (0, 0.0, None))
-        dcount = m.count - last_count
-        if not dcount:
-            return
-        deltas = ([c - lc for c, lc in zip(m.bucket_counts, last_buckets)]
-                  if last_buckets else list(m.bucket_counts))
-        self._last_hist[key] = (m.count, m.total, list(m.bucket_counts))
-        # Windowed percentiles via the registry's own bucket estimator:
-        # rebuild a histogram from the bucket deltas.  min/max are the
-        # lifetime extremes (best effort — the buckets don't retain them
-        # per window), which only loosens the clamp.
-        h = Histogram(m.name, m.labels, bounds=m.bounds)
-        h.count = dcount
-        h.total = m.total - last_total
-        h.vmin, h.vmax = m.vmin, m.vmax
-        h.bucket_counts = deltas
-        s = self.store.series_items(m.name, "histogram", m.labels)
-        s.set_closed(idx, {
-            "count": dcount, "sum": h.total, "min": h.vmin, "max": h.vmax,
-            "p50": h.percentile(0.50), "p95": h.percentile(0.95),
-            "p99": h.percentile(0.99),
-        })
-
-    # -- direct feeds (all tick first) -------------------------------------------
-
-    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        self.tick()
-        self.store.series(name, "counter", **labels).record(self._cur, amount)
-
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        self.tick()
-        self.store.series(name, "gauge", **labels).record(self._cur, value)
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        self.tick()
-        self.store.series(name, "histogram",
-                          **labels).record(self._cur, value)
-
-    def job_completed(self, job: str, makespan_s: float,
-                      ok: bool = True) -> None:
-        self.tick()
-        self.slo.observe_latency(self._cur, "job_latency", makespan_s)
-        self.store.series("job.makespan_s", "histogram",
-                          job=job).record(self._cur, makespan_s)
-
-    def task_attempt(self, op: str, ok: bool, seconds: float = 0.0) -> None:
-        self.tick()
-        self.slo.observe_event(self._cur, "task_availability", ok)
-        if not ok:
-            self.store.series("task.failures", "counter",
-                              op=op).record(self._cur, 1)
-
-    def heartbeat_missed(self, worker: str) -> None:
-        self.count("worker.heartbeat.missed", 1, worker=worker)
-
-    def worker_down(self, worker: str) -> None:
-        self.tick()
-        self.health.worker_down(worker)
-        self.store.series("worker.down", "counter",
-                          worker=worker).record(self._cur, 1)
-
-    def worker_declared_dead(self, worker: str) -> None:
-        # The runtime's worker.declared_dead registry counter is sampled
-        # into the store; this hook only advances the clock so detection
-        # is attributed to the right window.
-        self.tick()
-
     # -- topology / rules --------------------------------------------------------
 
     def register_worker(self, name: str) -> None:
+        self.close_elapsed()  # a joiner is scored from its own window on
         self.health.register_worker(name)
 
     def register_device(self, name: str,
                         pcie_bps: Optional[float] = None) -> None:
+        self.close_elapsed()
         self.health.register_device(name)
         if pcie_bps:
             # PCIe bytes moved in one window vs 90% of the calibrated bus
@@ -843,11 +886,12 @@ class GMonitor:
     # -- finalization / export ---------------------------------------------------
 
     def finalize(self) -> None:
-        """Close the trailing (partial) window at the end of a run."""
+        """Close the trailing (partial) window at the end of a run;
+        later writes are ignored."""
         if self._finalized:
             return
         self._finalized = True
-        self._advance(self._widx(self._env.now) + 1)
+        self._advance(int(self._env.now / self.window_s) + 1)
 
     def __len__(self) -> int:
         return len(self.store) + len(self.alerts.history)
@@ -876,72 +920,6 @@ class GMonitor:
             "health": self.health.summary(),
         }
         return doc
-
-
-class _NullMonitor:
-    """Shared no-op monitor handed out when monitoring is disabled.
-
-    Mirrors the GMonitor feed surface so instrumentation call sites stay
-    unconditional — the monitoring half of the zero-cost guarantee.
-    """
-
-    __slots__ = ()
-
-    enabled = False
-
-    def tick(self) -> None:
-        pass
-
-    def count(self, name, amount=1.0, **labels) -> None:
-        pass
-
-    def gauge(self, name, value, **labels) -> None:
-        pass
-
-    def observe(self, name, value, **labels) -> None:
-        pass
-
-    def job_completed(self, job, makespan_s, ok=True) -> None:
-        pass
-
-    def task_attempt(self, op, ok, seconds=0.0) -> None:
-        pass
-
-    def heartbeat_missed(self, worker) -> None:
-        pass
-
-    def worker_down(self, worker) -> None:
-        pass
-
-    def worker_declared_dead(self, worker) -> None:
-        pass
-
-    def register_worker(self, name) -> None:
-        pass
-
-    def register_device(self, name, pcie_bps=None) -> None:
-        pass
-
-    def add_rule(self, rule) -> None:
-        pass
-
-    def trends(self, name=None, window=8, alpha=0.3) -> dict:
-        return {}
-
-    def set_latency_target(self, target, percentile=0.99) -> None:
-        pass
-
-    def set_availability_target(self, target) -> None:
-        pass
-
-    def finalize(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_MONITOR = _NullMonitor()
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,24 @@ def _device_cat(span: PSpan) -> str:
     return "kernel"
 
 
-def _fine_spans_for_worker(trace: ProfileTrace,
-                           worker: str) -> Dict[str, List[Interval]]:
-    """Fine-grained activity intervals attributable to one worker: its GPU
-    devices' engine lanes plus its HDFS lane."""
-    out: Dict[str, List[Interval]] = {"kernel": [], "h2d": [], "d2h": [],
-                                      "hdfs": []}
-    gpu_prefix = f"{worker}-gpu"
+def _fine_spans_by_worker(trace: ProfileTrace
+                          ) -> Dict[str, Dict[str, List[Interval]]]:
+    """Fine-grained activity intervals grouped by owning worker: the
+    engine lanes of its GPU devices (``<worker>-gpu<i>``) plus its HDFS
+    lane."""
+    out: Dict[str, Dict[str, List[Interval]]] = {}
+
+    def lanes(worker: str) -> Dict[str, List[Interval]]:
+        if worker not in out:
+            out[worker] = {"kernel": [], "h2d": [], "d2h": [], "hdfs": []}
+        return out[worker]
+
     for s in trace.by_cat("gpu.device"):
-        if s.process.startswith(gpu_prefix):
-            out[_device_cat(s)].append((s.ts, s.end))
+        owner, sep, _ = s.process.rpartition("-gpu")
+        if sep:
+            lanes(owner)[_device_cat(s)].append((s.ts, s.end))
     for s in trace.by_cat("hdfs"):
-        if s.process == worker:
-            out["hdfs"].append((s.ts, s.end))
+        lanes(s.process)["hdfs"].append((s.ts, s.end))
     return out
 
 
@@ -293,14 +298,8 @@ def extract_critical_path(trace: ProfileTrace) -> List[Segment]:
         return []
     chain: List[PSpan] = list(trace.by_cat("task", "shuffle", "recovery"))
     chain += [s for s in trace.by_cat("job") if s.name == "job.submit"]
-    worker_fine: Dict[str, Dict[str, List[Interval]]] = {}
+    worker_fine = _fine_spans_by_worker(trace)
     segments: List[Segment] = []
-
-    def fine_for(span: PSpan) -> Dict[str, List[Interval]]:
-        worker = span.process
-        if worker not in worker_fine:
-            worker_fine[worker] = _fine_spans_for_worker(trace, worker)
-        return worker_fine[worker]
 
     def close(seg_span: PSpan, t0: float, t1: float) -> Segment:
         if seg_span.cat == "shuffle":
@@ -309,7 +308,8 @@ def extract_critical_path(trace: ProfileTrace) -> List[Segment]:
         if seg_span.cat == "job":
             return Segment(t0, t1, "submit", seg_span.name,
                            {"sched": t1 - t0})
-        cats = _attribute_window(t0, t1, fine_for(seg_span))
+        cats = _attribute_window(t0, t1,
+                                 worker_fine.get(seg_span.process, {}))
         return Segment(t0, t1, "task", seg_span.name, cats)
 
     cursor = hi
@@ -355,8 +355,7 @@ def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
     out: Dict[str, Dict[str, Any]] = {}
     tasks = trace.by_cat("task")
     exchanges = trace.by_cat("shuffle")
-    device = trace.by_cat("gpu.device")
-    hdfs = trace.by_cat("hdfs")
+    worker_fine = _fine_spans_by_worker(trace)
     for op_span in trace.by_cat("operator", "recovery"):
         op = op_span.args.get("op") or op_span.name.split(":", 1)[-1]
         t0, t1 = op_span.ts, op_span.end
@@ -367,12 +366,9 @@ def classify_operators(trace: ProfileTrace) -> Dict[str, Dict[str, Any]]:
         workers = {s.process for s in op_tasks}
         fine: Dict[str, List[Interval]] = {
             "kernel": [], "h2d": [], "d2h": [], "hdfs": [], "shuffle": []}
-        for s in device:
-            if any(s.process.startswith(f"{w}-gpu") for w in workers):
-                fine[_device_cat(s)].append((s.ts, s.end))
-        for s in hdfs:
-            if s.process in workers:
-                fine["hdfs"].append((s.ts, s.end))
+        for w in workers:
+            for cat, intervals in worker_fine.get(w, {}).items():
+                fine[cat] += intervals
         for s in exchanges:
             if s.args.get("op") == op:
                 fine["shuffle"].append((s.ts, s.end))

@@ -17,8 +17,8 @@ from repro.core import GFlinkCluster, GFlinkSession
 from repro.flink import ClusterConfig, CPUSpec, FlinkConfig
 from repro.flink.chaos import ChaosSchedule
 from repro.obs.dashboard import render_dashboard
+from repro.obs import Observability
 from repro.obs.monitor import (
-    NULL_MONITOR,
     AlertEngine,
     AlertRule,
     GMonitor,
@@ -287,7 +287,7 @@ class TestTrendsAPI:
         mon = GMonitor(env, window_s=1.0)
         for i in range(8):
             env.now = i + 0.5
-            mon.gauge("depth", float(i))
+            mon.registry.gauge("depth").set(float(i))
         env.now = 8.0
         mon.finalize()
         snaps = mon.trends("depth")
@@ -303,15 +303,18 @@ class TestTrendsAPI:
         env = FakeEnv()
         mon = GMonitor(env, window_s=1.0)
         env.now = 0.5
-        mon.gauge("a", 1.0)
-        mon.gauge("b", 2.0)
+        mon.registry.gauge("a").set(1.0)
+        mon.registry.gauge("b").set(2.0)
         env.now = 1.0
         mon.finalize()
         assert {s["name"] for s in mon.trends().values()} >= {"a", "b"}
         assert all(s["name"] == "a" for s in mon.trends("a").values())
 
     def test_null_monitor_trends_empty(self):
-        assert NULL_MONITOR.trends() == {}
+        # Monitoring off means no monitor at all; a monitor nothing has
+        # written to has no trends either.
+        assert Observability(FakeEnv()).monitor is None
+        assert GMonitor(FakeEnv()).trends() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +356,9 @@ class TestGMonitorWindows:
     def test_lazy_window_close_on_tick(self):
         env = FakeEnv()
         mon = GMonitor(env, window_s=1.0)
-        mon.count("x", 1)
+        mon.registry.counter("x").inc(1)
         env.now = 2.5
-        mon.count("x", 1)                  # ticks: closes windows 0 and 1
+        mon.registry.counter("x").inc(1)   # closes windows 0 and 1
         series = mon.store.series("x", "counter")
         assert list(series.points) == [(0, 1)]
         env.now = 3.0
@@ -365,7 +368,7 @@ class TestGMonitorWindows:
     def test_finalize_is_idempotent(self):
         env = FakeEnv(now=1.5)
         mon = GMonitor(env, window_s=1.0)
-        mon.count("x", 1)
+        mon.registry.counter("x").inc(1)
         mon.finalize()
         n = mon._windows_closed
         mon.finalize()
@@ -388,12 +391,13 @@ class TestGMonitorWindows:
         env = FakeEnv()
         mon = GMonitor(env, window_s=1.0)
         mon.register_worker("worker0")
-        mon.count("tasks", 3, worker="worker0")
-        mon.job_completed("job0", 0.4)
-        mon.task_attempt("map", ok=True)
-        mon.task_attempt("map", ok=False)
+        reg = mon.registry
+        reg.counter("tasks", worker="worker0").inc(3)
+        reg.histogram("job.makespan_s").observe(0.4)
+        reg.counter("task.completed", op="map").inc()
+        reg.counter("task.retries", op="map").inc()
         env.now = 4.0
-        mon.heartbeat_missed("worker0")
+        reg.counter("worker.heartbeat.missed", worker="worker0").inc()
         mon.finalize()
         summary = mon.summary()
         assert validate_monitor_summary(summary) == []
@@ -464,9 +468,9 @@ class TestZeroCostAndClockIdentity:
     def test_disabled_monitor_is_null_and_empty(self):
         cluster, _ = run_workload(WordCountWorkload,
                                   dict(real_elements=4000), "gpu", False)
-        assert cluster.obs.monitor is NULL_MONITOR
-        assert not cluster.obs.monitor.enabled
-        assert len(cluster.obs.monitor) == 0
+        assert cluster.obs.monitor is None
+        assert not cluster.obs.registry.enabled
+        assert len(cluster.obs.registry) == 0
 
     def test_enabled_monitor_collects_series(self):
         cluster, _ = run_workload(WordCountWorkload,
@@ -558,6 +562,80 @@ class TestChaosMonitoring:
         # summary carries the full lifecycle.
         for a in summary["alerts"]:
             assert a["fired_at_s"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# One metrics path: each monitor series restates exactly one registry metric
+# ---------------------------------------------------------------------------
+
+#: Series the monitor derives itself (error budgets, health scores).
+MONITOR_DERIVED = ("slo.", "health.")
+
+
+def one_sink_problems(cluster):
+    """Where the monitor's series disagree with the registry (none: every
+    fed series is one registry metric, each write counted once)."""
+    mon = cluster.obs.monitor
+    mon.finalize()
+    registry = {(m.name, m.labels): m for m in cluster.obs.registry.metrics()}
+    fed = {(s.name, s.labels): s for s in mon.store.all_series()
+           if not s.name.startswith(MONITOR_DERIVED)}
+    problems = []
+    for key, s in fed.items():
+        metric = registry.get(key)
+        if metric is None:
+            # A second series for some fact (e.g. a job-labelled copy of
+            # job.makespan_s) or a monitor-only number.
+            problems.append(f"{s.key}: no registry metric")
+        elif s.kind != metric.kind:
+            problems.append(f"{s.key}: {s.kind} series, {metric.kind} metric")
+        elif s.kind == "counter":
+            total = sum(v for _, v in s.points)
+            if total != pytest.approx(metric.value, rel=1e-12):
+                problems.append(f"{s.key}: windows sum to {total}, "
+                                f"registry {metric.value}")
+        elif s.kind == "histogram":
+            count = sum(v["count"] for _, v in s.points)
+            if count != metric.count:
+                problems.append(f"{s.key}: {count} observations in "
+                                f"windows, registry {metric.count}")
+        elif s.points[-1][1] != metric.value:
+            problems.append(f"{s.key}: last window {s.points[-1][1]}, "
+                            f"registry {metric.value}")
+    for key, metric in registry.items():
+        written = (metric.count if metric.kind == "histogram"
+                   else metric.kind == "counter" and metric.value)
+        if written and key not in fed:
+            problems.append(f"{metric.name}{dict(metric.labels)}: no series")
+    return problems
+
+
+class TestOneSink:
+    def test_churn_and_rebalance_counted_once(self):
+        from repro.flink import FlinkSession
+        from tests.flink.conftest import make_cluster
+        cluster = make_cluster(n_workers=2, enable_monitoring=True)
+        data = FlinkSession(cluster).from_collection(
+            list(range(12)), parallelism=6).map(
+                lambda x: x + 1, name="stage1").persist()
+        data.collect()
+        cluster.add_worker()
+        cluster.env.run()  # let the rebalance process drain
+        data.map(lambda x: x * 10, name="stage2").collect()
+        assert one_sink_problems(cluster) == []
+        assert cluster.obs.registry.sum_values("rebalance.partitions") == 2
+        makespans = cluster.obs.monitor.store.family("job.makespan_s")
+        assert len(makespans) == 1
+
+    def test_gpu_chaos_counted_once(self):
+        schedule = ChaosSchedule()
+        schedule.kill_worker("worker1", at=100.0)
+        cluster, _ = run_workload(WordCountWorkload,
+                                  dict(real_elements=4000), "gpu", True,
+                                  schedule=schedule)
+        assert one_sink_problems(cluster) == []
+        assert cluster.obs.registry.sum_values("gpu.pcie.bytes") > 0
+        assert cluster.obs.registry.sum_values("task.retries") > 0
 
 
 class TestMonitorCLI:

@@ -82,7 +82,7 @@ class TestTracedWordCount:
         reg = cluster.obs.registry
         assert reg.sum_values("jobs.completed") >= 1
         assert reg.sum_values("gwork.submitted") >= 1
-        assert reg.sum_values("gpu.pcie.h2d.bytes") > 0
+        assert reg.sum_values("gpu.pcie.bytes") > 0
         assert reg.sum_values("gpu.kernel.seconds") > 0
 
     def test_disabled_run_adds_zero_events_and_no_clock_divergence(
